@@ -152,7 +152,7 @@ def _fig3(params, args):
                         name="concurrence_mc")
     eng_rows = []
     for t2 in t2_mc:
-        report = fock.swap_pipeline(_t2_point(params, t2), thetas=(0.0,))
+        report = fock.swap_pipeline(_t2_point(params, t2))
         eng_rows.append((float(t2), report.concurrence_estimator, 0.0))
     engine = CurveSeries("concurrence_engine", ("t2_us", "concurrence", "sigma"),
                          tuple(eng_rows), _meta(params, source="fock-engine"))

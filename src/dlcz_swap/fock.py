@@ -1,13 +1,18 @@
-"""Truncated-Fock density-matrix engine for one heralded mode quadruple.
+"""Truncated-Fock engine for one heralded mode quadruple.
 
-Four spin modes (two memory pairs) and up to two concurrent readout modes are
-evolved exactly on a photon-number-truncated Hilbert space: pair sources,
-beam splitters, retrieval as a partial spin-to-light transfer, incoherent
-channel noise, and non-number-resolving click detection.  The swap pipeline
-is staged so at most six modes are ever concurrent, which keeps the default
-density-matrix entry cap sufficient; distinct multiplexed mode indices never
-interfere, so one quadruple is the whole quantum problem and multiplexing is
-combinatorial (protocol.py).
+Four spin modes (two memory pairs) and their readout modes are modelled
+exactly on a photon-number-truncated Hilbert space: pair sources, beam
+splitters, retrieval as a partial spin-to-light transfer, incoherent channel
+noise, and non-number-resolving click detection.  The elementary operations
+act on density matrices (FockState); the swap pipeline instead pulls each
+click effect back onto the spin modes (Heisenberg picture), so no state with
+the readout modes attached is ever built: the swap click becomes an operator
+on (mem_b1, mem_b2) contracted directly with the two link states, and the
+verification clicks become operators on (mem_a, mem_c) whose dependence on
+the mixer phase theta is a diagonal phase.  The largest register built is
+the four-mode herald register of one link.  Distinct multiplexed mode indices
+never interfere, so one quadruple is the whole quantum problem and
+multiplexing is combinatorial (protocol.py).
 
 Operations are functional: each returns a new FockState.
 """
@@ -48,6 +53,7 @@ __all__ = [
     "detector_extra",
     "joint_clicks",
     "verification_joint",
+    "verification_fringe",
     "counting_joint",
     "swap_pipeline",
     "default_theta_grid",
@@ -55,6 +61,11 @@ __all__ = [
 
 DEFAULT_N_MAX = 2
 DEFAULT_MAX_ENTRIES = 1_000_000
+
+# Entries kept by each operator cache.  The caches are keyed on float angles,
+# so a sweep over t1, t2 or chi adds an entry per point; a pipeline point
+# needs a handful of operators.
+OPERATOR_CACHE_SIZE = 64
 
 # Swap-station beam-splitter phase.  Constant interferometer offsets are
 # calibrated so the heralded verification fringe peaks at theta = 0,
@@ -207,7 +218,7 @@ def _apply_kraus(state: FockState, kraus: Sequence[np.ndarray], labels: Sequence
     return FockState(reg, out.reshape(reg.dim, reg.dim))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _beam_splitter_unitary(d: int, phase: float, angle: float) -> np.ndarray:
     """Two-mode mixer: |10> -> cos(angle)|10> + e^{i phase} sin(angle)|01>.
 
@@ -234,7 +245,7 @@ def apply_beam_splitter(state: FockState, mode1: str, mode2: str,
     return _apply_unitary(state, u, (mode1, mode2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _pair_source_unitary(d: int, chi: float) -> np.ndarray:
     """Unitary whose action on |00> is the truncated two-mode squeezer.
 
@@ -358,6 +369,21 @@ def inject_leakage(state: FockState, spin: str, optical: str, gamma_t: float,
     return _apply_kraus(state, kraus, (spin, optical))
 
 
+def _check_detector(eta: float, p_extra: float) -> None:
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("eta must be in [0, 1]")
+    if not 0.0 <= p_extra < 1.0:
+        raise ValueError("p_extra must be in [0, 1)")
+
+
+def _click_effects(d: int, eta: float, p_extra: float) -> dict:
+    """Diagonals of the click (True) and no-click (False) POVM elements of
+    measure_click on one mode."""
+    _check_detector(eta, p_extra)
+    dark = (1.0 - p_extra) * (1.0 - eta) ** np.arange(d)
+    return {True: 1.0 - dark, False: dark}
+
+
 def _click_kraus(d: int, eta: float) -> tuple[np.ndarray, list[np.ndarray]]:
     """No-click Kraus and the list of k-photons-detected Kraus operators."""
     no_click = np.zeros((d, d), dtype=np.complex128)
@@ -385,10 +411,7 @@ def measure_click(state: FockState, optical: str, eta: float,
     Returns (click_branch, no_click_branch) with normalized conditional
     states; a zero-probability branch carries state=None.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    if not 0.0 <= p_extra < 1.0:
-        raise ValueError("p_extra must be in [0, 1)")
+    _check_detector(eta, p_extra)
     reg = state.register
     no_click, detected = _click_kraus(reg.dim_per_mode, eta)
     nc_state = _apply_kraus(state, [no_click], (optical,))
@@ -477,27 +500,31 @@ def heralded_spin_state(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     single-excitation entangled state; the retrieved multi-pair photon
     population is injected downstream as in-mode noise instead.
     """
+    link = _link_state(params, n_max, conditioning, bell_sign, max_entries)
+    reg = ModeRegister(SPIN_LABELS, n_max=n_max, max_entries=max_entries)
+    return FockState(reg, np.kron(link, link))
+
+
+def _link_state(params: ExperimentParams, n_max: int, conditioning: str,
+                bell_sign: int, max_entries: int) -> np.ndarray:
+    """Density matrix of one link, (outer memory, inner memory) = (mem_a,
+    mem_b1) for the left link and (mem_b2, mem_c) for the right one.
+
+    The two links are identical constructions, so one matrix serves both.
+    """
     if bell_sign not in (1, -1):
         raise ValueError("bell_sign must be +1 or -1")
     if conditioning == "ideal":
-        reg = ModeRegister(SPIN_LABELS, n_max=n_max, max_entries=max_entries)
-        d = reg.dim_per_mode
-        psi = np.zeros(reg.dim, dtype=np.complex128)
-
-        def flat(na, nb1, nb2, nc):
-            return ((na * d + nb1) * d + nb2) * d + nc
-
-        s = float(bell_sign)
-        psi[flat(1, 0, 1, 0)] = 0.5
-        psi[flat(1, 0, 0, 1)] = 0.5 * s
-        psi[flat(0, 1, 1, 0)] = 0.5 * s
-        psi[flat(0, 1, 0, 1)] = 0.5
-        return FockState(reg, np.outer(psi, psi.conj()))
+        # same entry cap as the heralded path, whose herald register has the
+        # size of the four spin modes
+        ModeRegister(SPIN_LABELS, n_max=n_max, max_entries=max_entries)
+        d = n_max + 1
+        psi = np.zeros(d * d, dtype=np.complex128)
+        psi[1 * d + 0] = 1.0
+        psi[0 * d + 1] = float(bell_sign)
+        return 0.5 * np.outer(psi, psi.conj())
     if conditioning == "heralded":
-        rho_left = _source_heralded_pair(params, ("mem_a", "mem_b1"), n_max, max_entries)
-        rho_right = _source_heralded_pair(params, ("mem_b2", "mem_c"), n_max, max_entries)
-        reg = ModeRegister(SPIN_LABELS, n_max=n_max, max_entries=max_entries)
-        return FockState(reg, np.kron(rho_left.rho, rho_right.rho))
+        return _source_heralded_pair(params, ("mem_a", "mem_b1"), n_max, max_entries).rho
     raise ValueError(f"unknown conditioning {conditioning!r}")
 
 
@@ -542,6 +569,74 @@ def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
     return min(params.eta * (z + leak), 1.0 - 1e-12)
 
 
+# -- effect operators ------------------------------------------------------
+#
+# A readout stage acts on two spin modes: retrieval of each into its own
+# vacuum readout mode (apply_retrieval), in-mode noise on the first and then
+# the second readout (inject_noise), an optional mixer on the two readouts,
+# and clicks.  Rather than evolving the state, each click effect E on the
+# readouts is pulled back to the spins as the operator M with
+# Tr[M rho_spins] = Tr[E rho_readouts] (Heisenberg picture).
+
+def _retrieval_isometry(d: int, gamma: float) -> np.ndarray:
+    """w[s, o, n] = <s, o| U |n, 0>: spin number n split into a spin part s
+    and a readout part o by the retrieval unitary of apply_retrieval."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma_t must be in [0, 1]")
+    u = _beam_splitter_unitary(d, 0.0, math.asin(math.sqrt(gamma)))
+    return u[:, ::d].reshape(d, d, d)
+
+
+def _retrieve(rho: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Readout-mode state after retrieving both spins of rho (spins traced)."""
+    d = w.shape[0]
+    t = np.einsum("aon,nmkl,aqk->omql", w, rho.reshape(d, d, d, d), w.conj())
+    t = np.einsum("bpm,omql,brl->opqr", w, t, w.conj())
+    return t.reshape(d * d, d * d)
+
+
+def _retrieve_adjoint(effect: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Spin operator M with Tr[M rho] = Tr[effect _retrieve(rho, w)]."""
+    d = w.shape[0]
+    t = np.einsum("aon,opqr,aqk->npkr", w.conj(), effect.reshape(d, d, d, d), w)
+    t = np.einsum("bpm,npkr,brl->nmkl", w.conj(), t, w)
+    return t.reshape(d * d, d * d)
+
+
+def _pull_back(effects: Sequence[np.ndarray], rho_spins: np.ndarray, d: int,
+               gamma: float, q: float, mixer: np.ndarray | None) -> list[np.ndarray]:
+    """Pull readout effects back onto the two spin modes of rho_spins.
+
+    inject_noise renormalizes the photon-added branch, so it is not a fixed
+    linear map.  Its two norms are computed first from rho_spins (only the
+    reduced state of the two spins matters); with the norms fixed the noise
+    on each readout is X -> (1 - q) X + (q / norm) a^dag X a, whose adjoint
+    a X a^dag acts on the effects.
+    """
+    w = _retrieval_isometry(d, gamma)
+    noise = []
+    if q > 0.0:
+        if not q <= 1.0:
+            raise ValueError("p_noise must be in [0, 1]")
+        a = _lowering(d)
+        eye = np.eye(d)
+        sigma = _retrieve(rho_spins, w)
+        for low in (np.kron(a, eye), np.kron(eye, a)):
+            norm = float(np.real(np.trace(low @ low.conj().T @ sigma)))
+            if norm <= 0.0:
+                raise ValueError("cannot add a photon to a readout mode: no headroom below n_max")
+            sigma = (1.0 - q) * sigma + (q / norm) * (low.conj().T @ sigma @ low)
+            noise.append((low, norm))
+    out = []
+    for effect in effects:
+        if mixer is not None:
+            effect = mixer.conj().T @ effect @ mixer
+        for low, norm in noise:
+            effect = (1.0 - q) * effect + (q / norm) * (low @ effect @ low.conj().T)
+        out.append(_retrieve_adjoint(effect, w))
+    return out
+
+
 def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
                conditioning: str = "heralded", bell_sign: int = 1,
                max_entries: int = DEFAULT_MAX_ENTRIES) -> tuple[float, FockState]:
@@ -550,44 +645,72 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     Returns (p_click, rho_ac): the click probability of the designated swap
     detector given the heralded quadruple, and the conditional state of the
     two outer spin modes after the click.
+
+    The click effect on read_b1 is pulled back through the swap mixer, the
+    in-mode noise and both retrievals to an operator M on (mem_b1, mem_b2);
+    then p_click * rho_ac = Tr_{b1 b2}[M rho_L (x) rho_R], contracted without
+    forming the four-spin state.  The entry cap applies to the herald
+    register of one link, the largest register built.
     """
-    spins = heralded_spin_state(params, n_max, conditioning, bell_sign, max_entries)
-    labels = SPIN_LABELS + ("read_b1", "read_b2")
-    reg = ModeRegister(labels, n_max=n_max, max_entries=max_entries)
-    vac = np.zeros(reg.dim_per_mode ** 2, dtype=np.complex128)
-    vac[0] = 1.0
-    rho = np.kron(spins.rho, np.outer(vac, vac.conj()))
-    state = FockState(reg, rho)
-
+    link = _link_state(params, n_max, conditioning, bell_sign, max_entries)
+    reg = ModeRegister(("mem_a", "mem_c"), n_max=n_max, max_entries=max_entries)
+    d = reg.dim_per_mode
     gamma1 = analytic.retrieval_efficiency(params.t1_us, params)
-    state = apply_retrieval(state, "mem_b1", "read_b1", gamma1)
-    state = apply_retrieval(state, "mem_b2", "read_b2", gamma1)
     q1 = in_mode_noise(params, params.t1_us, conditioning)
-    if q1 > 0.0:
-        state = inject_noise(state, "read_b1", q1)
-        state = inject_noise(state, "read_b2", q1)
-    state = apply_beam_splitter(state, "read_b1", "read_b2", phase=ES_PHASE)
     extra1 = detector_extra(params, params.t1_us, params.z_b)
-    click, _ = measure_click(state, "read_b1", params.eta, p_extra=extra1)
-    if click.state is None:
-        return 0.0, partial_trace(state, ("mem_a", "mem_c"))
-    return click.probability, partial_trace(click.state, ("mem_a", "mem_c"))
+    click = np.diag(np.kron(_click_effects(d, params.eta, extra1)[True], np.ones(d)))
+    mixer = _beam_splitter_unitary(d, ES_PHASE, math.pi / 4)
+
+    # reduced state of (mem_b1, mem_b2): the inner mode of each link
+    t = link.reshape(d, d, d, d)
+    inner = np.kron(np.einsum("abac->bc", t), np.einsum("abcb->ac", t))
+    m_click, m_all = _pull_back([click, np.eye(d * d)], inner, d, gamma1, q1, mixer)
+
+    def outer(m):
+        # sum over (b1, b2, b1', b2') of M[b1 b2, b1' b2'] rho_L[a b1', a' b1]
+        # rho_R[b2' c, b2 c']
+        out = np.einsum("ijkl,akei,lcjf->acef", m.reshape(d, d, d, d), t, t,
+                        optimize=True)
+        return out.reshape(d * d, d * d)
+
+    rho = outer(m_click)
+    p_click = float(np.real(np.trace(rho)))
+    if p_click <= 1e-300:
+        return 0.0, FockState(reg, outer(m_all))
+    return p_click, FockState(reg, rho / p_click)
 
 
-def _verification_state(rho_ac: FockState, gamma: float, q: float) -> FockState:
-    """Retrieve both outer memories and add in-mode noise (no mixing yet)."""
-    reg_ac = rho_ac.register
-    labels = ("mem_a", "mem_c", "read_a", "read_c")
-    reg = ModeRegister(labels, n_max=reg_ac.n_max, max_entries=reg_ac.max_entries)
-    vac = np.zeros(reg.dim_per_mode ** 2, dtype=np.complex128)
-    vac[0] = 1.0
-    state = FockState(reg, np.kron(rho_ac.rho, np.outer(vac, vac.conj())))
-    state = apply_retrieval(state, "mem_a", "read_a", gamma)
-    state = apply_retrieval(state, "mem_c", "read_c", gamma)
-    if q > 0.0:
-        state = inject_noise(state, "read_a", q)
-        state = inject_noise(state, "read_c", q)
-    return state
+_JOINT_KEYS = ((True, True), (True, False), (False, True), (False, False))
+
+
+def _readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
+                    p_extra: float, thetas: Sequence[float] | None) -> list[dict]:
+    """Joint click distributions of the two readouts of rho_ac.
+
+    thetas=None: direct per-channel detection, one distribution.  Otherwise
+    the readouts meet on the verification mixer with phase theta.  The four
+    joint effects are pulled back at theta = 0 only: the mixer phase is
+    exp(i theta n) on read_c, which commutes through the noise and the
+    retrieval to exp(i theta n_c) on mem_c, so
+    E_theta[l, k] = E_0[l, k] exp(i theta (n_c(l) - n_c(k))) and each
+    probability is a trig polynomial of degree n_max in theta.
+    """
+    d = rho_ac.register.dim_per_mode
+    n_max = d - 1
+    port = _click_effects(d, eta, p_extra)
+    effects = [np.diag(np.kron(port[x], port[y])) for x, y in _JOINT_KEYS]
+    mixer = None if thetas is None else _beam_splitter_unitary(d, 0.0, math.pi / 4)
+    pulled = _pull_back(effects, rho_ac.rho, d, gamma, q, mixer)
+    # coeffs[j, k]: weight of exp(i (k - n_max) theta) in outcome j
+    n_c = np.arange(d * d) % d
+    shift = (n_c[:, None] - n_c[None, :]) + n_max
+    coeffs = np.zeros((len(_JOINT_KEYS), 2 * n_max + 1), dtype=np.complex128)
+    for j, effect in enumerate(pulled):
+        np.add.at(coeffs[j], shift, effect * rho_ac.rho.T)
+    thetas = (0.0,) if thetas is None else tuple(thetas)
+    phases = np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1)))
+    probs = np.real(phases @ coeffs.T)
+    return [dict(zip(_JOINT_KEYS, map(float, row))) for row in probs]
 
 
 def joint_clicks(state: FockState, mode1: str, mode2: str, eta: float,
@@ -606,19 +729,27 @@ def joint_clicks(state: FockState, mode1: str, mode2: str, eta: float,
     return out
 
 
+def verification_fringe(rho_ac: FockState, gamma: float, q: float, eta: float,
+                        thetas: Sequence[float], p_extra: float = 0.0) -> list[dict]:
+    """verification_joint at each theta, from one pull-back of the effects."""
+    return _readout_joints(rho_ac, gamma, q, eta, p_extra, thetas)
+
+
 def verification_joint(rho_ac: FockState, gamma: float, q: float, eta: float,
                        theta: float, p_extra: float = 0.0) -> dict:
-    """Joint (port1, port2) click distribution after the verification mixer."""
-    state = _verification_state(rho_ac, gamma, q)
-    state = apply_beam_splitter(state, "read_a", "read_c", phase=theta)
-    return joint_clicks(state, "read_a", "read_c", eta, p_extra=p_extra)
+    """Joint (port1, port2) click distribution after the verification mixer.
+
+    Both outer memories are retrieved (gamma), in-mode noise q is added to
+    each readout, the readouts meet on a 50/50 mixer with phase theta and
+    each output port has a click detector (eta, p_extra).
+    """
+    return _readout_joints(rho_ac, gamma, q, eta, p_extra, (theta,))[0]
 
 
 def counting_joint(rho_ac: FockState, gamma: float, q: float, eta: float,
                    p_extra: float = 0.0) -> dict:
     """Joint (a, c) click distribution with direct per-channel detection."""
-    state = _verification_state(rho_ac, gamma, q)
-    return joint_clicks(state, "read_a", "read_c", eta, p_extra=p_extra)
+    return _readout_joints(rho_ac, gamma, q, eta, p_extra, None)[0]
 
 
 @dataclass(frozen=True)
@@ -666,7 +797,12 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
                   n_max: int = DEFAULT_N_MAX, conditioning: str = "heralded",
                   bell_sign: int = 1,
                   max_entries: int = DEFAULT_MAX_ENTRIES) -> SwapReport:
-    """Full quantum simulation of one heralded swap-and-verify attempt."""
+    """Full quantum simulation of one heralded swap-and-verify attempt.
+
+    One swap_stage gives p_es1 and rho_ac; the verification effects are then
+    pulled back onto rho_ac once for the detected fringe and once for the
+    ideal (spin-level) fringe, and evaluated at every theta.
+    """
     if thetas is None:
         thetas = default_theta_grid()
     thetas = tuple(float(t) for t in thetas)
@@ -678,8 +814,8 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
     eta = params.eta
 
     p_coinc, p_joint, p_ev1, ev_joint = {}, {}, {}, {}
-    for theta in thetas:
-        joint = verification_joint(rho_ac, gamma2, q2, eta, theta, p_extra=extra2)
+    fringe = verification_fringe(rho_ac, gamma2, q2, eta, thetas, p_extra=extra2)
+    for theta, joint in zip(thetas, fringe):
         pev1 = joint[(True, True)] + joint[(True, False)]
         p_ev1[theta] = pev1
         ev_joint[theta] = joint
@@ -705,11 +841,8 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
         "p10": float(np.real(block[2, 2])),
         "p11": float(np.real(block[3, 3])),
     }
-    ideal_fringe = []
-    for theta in thetas:
-        joint = verification_joint(rho_ac, 1.0, 0.0, 1.0, theta)
-        ideal_fringe.append(joint[(True, True)] + joint[(True, False)])
-    ideal_fringe = np.array(ideal_fringe)
+    ideal_fringe = np.array([joint[(True, True)] + joint[(True, False)]
+                             for joint in verification_fringe(rho_ac, 1.0, 0.0, 1.0, thetas)])
     v_spin = float((ideal_fringe.max() - ideal_fringe.min())
                    / (ideal_fringe.max() + ideal_fringe.min())) \
         if ideal_fringe.max() + ideal_fringe.min() > 0 else 0.0

@@ -168,11 +168,8 @@ def _tables_cached(params: ExperimentParams, thetas: tuple, n_max: int,
     gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
     q2 = fock.in_mode_noise(params, params.t2_us, conditioning)
     extra2 = fock.detector_extra(params, params.t2_us, params.z_ac)
-    rows = []
-    for theta in thetas:
-        joint = fock.verification_joint(rho_ac, gamma2, q2, params.eta, theta,
-                                        p_extra=extra2)
-        rows.append(_joint_cdf(joint))
+    rows = [_joint_cdf(joint) for joint in
+            fock.verification_fringe(rho_ac, gamma2, q2, params.eta, thetas, p_extra=extra2)]
     counting = fock.counting_joint(rho_ac, gamma2, q2, params.eta, p_extra=extra2)
     return ConditionalTables(
         p_swap1=p_click,

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from dlcz_swap import cli
+from dlcz_swap import cli, fock
 from dlcz_swap.params import experiment_defaults, serialize_config, with_overrides
 from dlcz_swap.series import read_csv, read_json
 
@@ -103,6 +103,22 @@ def test_fig1s_endpoints(tmp_path):
     assert curve.rows[0][1] == pytest.approx(0.68)
     assert curve.rows[80][0] == 320.0
     assert curve.rows[80][1] == pytest.approx(0.68 / math.e, rel=1e-12)
+
+
+def test_fig3_engine_series_matches_pipeline(tmp_path):
+    assert cli.main(["figures", "fig3", "--out", str(tmp_path), "--format", "json",
+                     "--trials", "4000", "--theta-points", "4"]) == 0
+    curves = {c.name: c for c in read_json(str(tmp_path / "fig3.json"))}
+    rows = curves["concurrence_engine"].rows
+    ys = [y for _, y, _ in rows]
+    assert max(ys) > 0.0 and max(ys) != min(ys)
+    defaults = experiment_defaults()
+    for t2, y, _ in rows:
+        point = with_overrides(defaults, t1_us=t2 - defaults.delta_t_us, t2_us=t2)
+        assert y == pytest.approx(fock.swap_pipeline(point).concurrence_estimator,
+                                  rel=1e-9, abs=1e-12)
+    assert rows[0][0] == 2.0
+    assert rows[0][1] == pytest.approx(0.32151, abs=1e-5)
 
 
 def test_fig4_multiplexing_linear(tmp_path):

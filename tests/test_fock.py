@@ -14,6 +14,7 @@ from scipy import stats
 
 from dlcz_swap import fock
 from dlcz_swap.fock import (
+    DimensionError,
     FockState,
     ModeRegister,
     apply_beam_splitter,
@@ -31,6 +32,7 @@ from dlcz_swap.fock import (
     swap_pipeline,
     swap_stage,
     vacuum,
+    verification_joint,
     wootters_concurrence,
 )
 from dlcz_swap.params import with_overrides
@@ -451,3 +453,136 @@ def test_no_click_rate_mixer_invariant(defaults):
                                         theta, p_extra=extra2)
         assert joint[(False, False)] == pytest.approx(
             count[(False, False)], rel=1e-10)
+
+
+def test_truncation_as_number(defaults):
+    # the swap click probability converges in the photon cap
+    p = {n: swap_stage(defaults, n_max=n)[0] for n in (2, 3, 4)}
+    assert p[2] == pytest.approx(0.16352378, abs=1e-8)
+    assert p[3] == pytest.approx(0.16318181, abs=1e-8)
+    assert p[4] == pytest.approx(0.16317630, abs=1e-8)
+    assert abs(p[4] - p[3]) < 1e-5
+
+
+@pytest.mark.parametrize("conditioning", ["heralded", "ideal"])
+def test_entry_cap_applies_to_herald_register(defaults, conditioning):
+    # four modes at n_max = 5 need 6**8 > 1e6 entries
+    with pytest.raises(DimensionError):
+        swap_stage(defaults, n_max=5, conditioning=conditioning)
+    swap_stage(defaults, n_max=5, conditioning=conditioning, max_entries=6 ** 8)
+
+
+def test_operator_caches_bounded(defaults):
+    caches = (fock._beam_splitter_unitary, fock._pair_source_unitary)
+    for cache in caches:
+        cache.cache_clear()
+    for t1 in np.linspace(0.0, 1.9, 200):
+        swap_stage(with_overrides(defaults, t1_us=float(t1)))
+    # one retrieval angle per t1 point, more than the cache keeps
+    assert fock._beam_splitter_unitary.cache_info().misses > fock.OPERATOR_CACHE_SIZE
+    for cache in caches:
+        assert cache.cache_info().currsize <= fock.OPERATOR_CACHE_SIZE
+
+
+# -- staged Schroedinger oracle ----------------------------------------------
+#
+# The swap and verification stages evolved as density matrices with the
+# readout modes attached (six modes for the swap), built from the public
+# primitives only.  swap_stage, verification_joint and counting_joint pull the
+# click effects back onto the spins instead and must agree to rounding.
+
+ORACLE_TOL = 1e-12
+
+
+def _attach_vacuum(state, labels):
+    reg = ModeRegister(state.register.labels + tuple(labels), n_max=state.register.n_max)
+    vac = vacuum(ModeRegister(tuple(labels), n_max=state.register.n_max))
+    return FockState(reg, np.kron(state.rho, vac.rho))
+
+
+def _oracle_link(params, spin1, spin2, n_max):
+    reg = ModeRegister((spin1, spin2, "write_1", "write_2"), n_max=n_max)
+    state = apply_pair_source(vacuum(reg), spin1, "write_1", params.chi)
+    state = apply_pair_source(state, spin2, "write_2", params.chi)
+    state = apply_beam_splitter(state, "write_1", "write_2")
+    click, _ = measure_click(state, "write_1", params.eta)
+    return partial_trace(click.state, (spin1, spin2))
+
+
+def _oracle_spins(params, conditioning, bell_sign, n_max):
+    labels = ("mem_a", "mem_b1", "mem_b2", "mem_c")
+    reg = ModeRegister(labels, n_max=n_max)
+    if conditioning == "heralded":
+        left = _oracle_link(params, "mem_a", "mem_b1", n_max)
+        right = _oracle_link(params, "mem_b2", "mem_c", n_max)
+        return FockState(reg, np.kron(left.rho, right.rho))
+    d = reg.dim_per_mode
+    psi = np.zeros(reg.dim, dtype=np.complex128)
+    for occupations, amp in (((1, 0, 1, 0), 0.5), ((1, 0, 0, 1), 0.5 * bell_sign),
+                             ((0, 1, 1, 0), 0.5 * bell_sign), ((0, 1, 0, 1), 0.5)):
+        psi[np.ravel_multi_index(occupations, (d,) * 4)] = amp
+    return FockState(reg, np.outer(psi, psi.conj()))
+
+
+def _oracle_swap_stage(params, conditioning, bell_sign, n_max=2):
+    state = _attach_vacuum(_oracle_spins(params, conditioning, bell_sign, n_max),
+                           ("read_b1", "read_b2"))
+    gamma1 = params.gamma0 * math.exp(-params.t1_us / params.tau0_us)
+    state = apply_retrieval(state, "mem_b1", "read_b1", gamma1)
+    state = apply_retrieval(state, "mem_b2", "read_b2", gamma1)
+    q1 = in_mode_noise(params, params.t1_us, conditioning)
+    if q1 > 0.0:
+        state = inject_noise(state, "read_b1", q1)
+        state = inject_noise(state, "read_b2", q1)
+    state = apply_beam_splitter(state, "read_b1", "read_b2")
+    extra1 = detector_extra(params, params.t1_us, params.z_b)
+    click, _ = measure_click(state, "read_b1", params.eta, p_extra=extra1)
+    return click.probability, partial_trace(click.state, ("mem_a", "mem_c"))
+
+
+def _oracle_readout(rho_ac, gamma, q, eta, p_extra, theta=None):
+    state = _attach_vacuum(rho_ac, ("read_a", "read_c"))
+    state = apply_retrieval(state, "mem_a", "read_a", gamma)
+    state = apply_retrieval(state, "mem_c", "read_c", gamma)
+    if q > 0.0:
+        state = inject_noise(state, "read_a", q)
+        state = inject_noise(state, "read_c", q)
+    if theta is not None:
+        state = apply_beam_splitter(state, "read_a", "read_c", phase=theta)
+    return joint_clicks(state, "read_a", "read_c", eta, p_extra=p_extra)
+
+
+@pytest.mark.parametrize("conditioning", ["heralded", "ideal"])
+@pytest.mark.parametrize("bell_sign", [1, -1])
+def test_swap_stage_matches_staged_oracle(defaults, boosted, conditioning, bell_sign):
+    for params in (defaults, boosted):
+        p, rho_ac = swap_stage(params, conditioning=conditioning, bell_sign=bell_sign)
+        p_ref, rho_ref = _oracle_swap_stage(params, conditioning, bell_sign)
+        assert abs(p - p_ref) <= ORACLE_TOL
+        assert rho_ac.register.labels == rho_ref.register.labels
+        assert np.abs(rho_ac.rho - rho_ref.rho).max() <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("conditioning", ["heralded", "ideal"])
+def test_readout_joints_match_staged_oracle(boosted, conditioning):
+    params = boosted
+    _, rho_ac = swap_stage(params, conditioning=conditioning)
+    # a phase on mem_c makes rho_ac complex: the real rho_ac has a fringe
+    # symmetric in theta and cannot tell the sign of the mixer phase
+    d = rho_ac.register.dim_per_mode
+    phase = np.exp(0.9j * (np.arange(d * d) % d))
+    twisted = FockState(rho_ac.register, np.outer(phase, phase.conj()) * rho_ac.rho)
+    gamma2 = params.gamma0 * math.exp(-params.t2_us / params.tau0_us)
+    q2 = in_mode_noise(params, params.t2_us, conditioning)
+    extra2 = detector_extra(params, params.t2_us, params.z_ac)
+    thetas = np.random.default_rng(17).uniform(0.0, 2.0 * math.pi, 4)
+    for state in (rho_ac, twisted):
+        for theta in thetas:
+            got = verification_joint(state, gamma2, q2, params.eta, theta, p_extra=extra2)
+            want = _oracle_readout(state, gamma2, q2, params.eta, extra2, theta)
+            for key, value in want.items():
+                assert abs(got[key] - value) <= ORACLE_TOL
+        got = counting_joint(state, gamma2, q2, params.eta, p_extra=extra2)
+        want = _oracle_readout(state, gamma2, q2, params.eta, extra2)
+        for key, value in want.items():
+            assert abs(got[key] - value) <= ORACLE_TOL
