@@ -53,11 +53,11 @@ for m in (1, 2, 3):
 print()
 
 # --- determinism ------------------------------------------------------------
-# Each trial owns fixed slots of a counter-based stream, so the worker
-# count changes only the block decomposition, never an outcome.
+# Each trial owns fixed slots of a counter-based stream, so a rerun at the
+# same seed replays every outcome.
 
-again = protocol.run_batch(params, n, theta_grid=thetas, seed=11, workers=4)
+again = protocol.run_batch(params, n, theta_grid=thetas, seed=11)
 same = (again.n_es == batch.n_es
         and np.array_equal(again.fourfold_by_theta, batch.fourfold_by_theta)
         and np.array_equal(again.counting_counts, batch.counting_counts))
-print(f"same seed, 4 workers instead of 1: identical counters = {same}")
+print(f"same-seed rerun: identical counters = {same}")

@@ -1,6 +1,6 @@
 """Closed-form model of the memory-assisted swap experiment.
 
-Retrieval decay, Stokes / anti-Stokes detection probabilities, the
+Retrieval decay, the anti-Stokes detection probability, the
 signal-to-noise cross-correlation g, fringe visibility, the two-photon
 suppression parameter h, the concurrence estimators built from them, the
 g-threshold where entanglement appears, and the multiplexed generation rate.
@@ -26,7 +26,6 @@ __all__ = [
     "MultiplexedRate",
     "ClampedVisibilityWarning",
     "retrieval_efficiency",
-    "prob_stokes",
     "prob_antistokes",
     "cross_correlation",
     "correlation_pair",
@@ -78,14 +77,6 @@ class ConcurrenceInputs:
     p_c: float
     h: float
 
-    @classmethod
-    def from_probabilities(cls, p10, p01, p11, p00, v) -> "ConcurrenceInputs":
-        if min(p10, p01, p11, p00) < 0:
-            raise ValueError("probabilities must be non-negative")
-        denom = p10 * p01
-        h = p11 / denom if denom > 0 else math.inf
-        return cls(p10=p10, p01=p01, p11=p11, p00=p00, v=v, p_c=p10 + p01, h=h)
-
     @property
     def total(self) -> float:
         return self.p10 + self.p01 + self.p11 + self.p00
@@ -106,11 +97,6 @@ def retrieval_efficiency(t_us: float, params: ExperimentParams) -> float:
     if t_us < 0:
         raise ValueError("t_us must be >= 0")
     return params.gamma0 * math.exp(-t_us / params.tau0_us)
-
-
-def prob_stokes(params: ExperimentParams) -> float:
-    """Detected Stokes probability per write pulse: chi * eta."""
-    return params.chi * params.eta
 
 
 def prob_antistokes(t_us: float, z: float, params: ExperimentParams) -> float:

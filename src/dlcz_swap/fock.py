@@ -43,7 +43,6 @@ __all__ = [
     "apply_beam_splitter",
     "apply_retrieval",
     "inject_noise",
-    "inject_leakage",
     "measure_click",
     "partial_trace",
     "wootters_concurrence",
@@ -326,47 +325,6 @@ def inject_noise(state: FockState, optical: str, p_noise: float) -> FockState:
         raise ValueError(f"cannot add a photon to mode {optical!r}: no headroom below n_max")
     out = (1.0 - p_noise) * state.rho + (p_noise / norm) * added
     return FockState(reg, out)
-
-
-def inject_leakage(state: FockState, spin: str, optical: str, gamma_t: float,
-                   xi_se: float, f_cav: float) -> FockState:
-    """Spontaneous emission of unretrieved spin excitations into the readout mode.
-
-    Each remaining excitation independently emits one incoherent photon with
-    probability min(xi_se * f_cav, 1); a product above 1 is an effective rate
-    rather than a probability, so it is clamped to 1 with a warning.  Emitted
-    photons above the n_max cap saturate at n_max (negligible for near-vacuum
-    readout modes).  Call after apply_retrieval on the same pair.
-    """
-    q = xi_se * f_cav
-    if q > 1.0:
-        import warnings
-        warnings.warn(
-            f"leak rate xi_se*f_cav = {q:.3g} > 1 clamped to 1 (per-excitation probability)",
-            stacklevel=2,
-        )
-        q = 1.0
-    if q < 0.0:
-        raise ValueError("xi_se * f_cav must be >= 0")
-    if q == 0.0 or gamma_t == 1.0:
-        return state
-    reg = state.register
-    d = reg.dim_per_mode
-    kraus = []
-    for j in range(d):
-        m = np.zeros((d * d, d * d), dtype=np.complex128)
-        for s in range(d):
-            if s < j:
-                continue
-            amp = math.sqrt(math.comb(s, j) * (q ** j) * ((1.0 - q) ** (s - j)))
-            if amp == 0.0:
-                continue
-            for o in range(d):
-                o_out = min(o + j, d - 1)
-                m[(s - j) * d + o_out, s * d + o] = amp
-        if np.any(m):
-            kraus.append(m)
-    return _apply_kraus(state, kraus, (spin, optical))
 
 
 def _check_detector(eta: float, p_extra: float) -> None:

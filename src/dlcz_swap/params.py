@@ -48,11 +48,6 @@ _DEFAULT_PROVENANCE["eta"] = "assumed"
 class ParamError(ValueError):
     """Raised on invalid parameter values or malformed config input."""
 
-    def __init__(self, message: str, *, fieldname: str | None = None, rule: str | None = None):
-        super().__init__(message)
-        self.fieldname = fieldname
-        self.rule = rule
-
 
 @dataclass(frozen=True)
 class ExperimentParams:
@@ -128,7 +123,7 @@ class ExperimentParams:
 
 def _check(cond: bool, name: str, rule: str, value) -> None:
     if not cond:
-        raise ParamError(f"{name}={value!r} violates: {rule}", fieldname=name, rule=rule)
+        raise ParamError(f"{name}={value!r} violates: {rule}")
 
 
 def experiment_defaults() -> ExperimentParams:
@@ -145,7 +140,7 @@ def with_overrides(params: ExperimentParams, **changes) -> ExperimentParams:
     prov = dict(params.provenance)
     for k in changes:
         if k not in CONFIG_KEYS:
-            raise ParamError(f"unknown parameter {k!r}", fieldname=k, rule="known key")
+            raise ParamError(f"unknown parameter {k!r}")
         prov[k] = "override"
     return dataclasses.replace(params, provenance=prov, **changes)
 
@@ -157,22 +152,16 @@ def _parse_value(key: str, raw: str, lineno: int):
             return int(raw)
         except ValueError:
             raise ParamError(
-                f"line {lineno}: m_modes must be an integer, got {raw!r}",
-                fieldname=key, rule="integer",
+                f"line {lineno}: m_modes must be an integer, got {raw!r}"
             ) from None
     if key == "cutoff_us" and raw.lower() == "none":
         return None
     try:
         value = float(raw)
     except ValueError:
-        raise ParamError(
-            f"line {lineno}: cannot parse {key} value {raw!r}",
-            fieldname=key, rule="number",
-        ) from None
+        raise ParamError(f"line {lineno}: cannot parse {key} value {raw!r}") from None
     if not math.isfinite(value) and not (key == "tau0_us" and value == math.inf):
-        raise ParamError(
-            f"line {lineno}: {key} must be finite", fieldname=key, rule="finite",
-        )
+        raise ParamError(f"line {lineno}: {key} must be finite")
     return value
 
 
@@ -184,20 +173,13 @@ def parse_config(text: str) -> dict:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ParamError(
-                f"line {lineno}: expected 'key = value', got {line!r}",
-                rule="key = value",
-            )
+            raise ParamError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
         if key not in CONFIG_KEYS:
-            raise ParamError(
-                f"line {lineno}: unknown key {key!r}", fieldname=key, rule="known key",
-            )
+            raise ParamError(f"line {lineno}: unknown key {key!r}")
         if key in out:
-            raise ParamError(
-                f"line {lineno}: duplicate key {key!r}", fieldname=key, rule="unique key",
-            )
+            raise ParamError(f"line {lineno}: duplicate key {key!r}")
         out[key] = _parse_value(key, raw, lineno)
     return out
 
@@ -219,13 +201,12 @@ def load_params(path=None, overrides: Mapping[str, object] | None = None) -> Exp
             prov[k] = "file"
         if file_values.get("m_modes", 1) > 3:
             raise ParamError(
-                "m_modes > 3 requires an explicit override (--set m_modes=...)",
-                fieldname="m_modes", rule="m_modes <= 3 unless overridden",
+                "m_modes > 3 requires an explicit override (--set m_modes=...)"
             )
     if overrides:
         for k, v in overrides.items():
             if k not in CONFIG_KEYS:
-                raise ParamError(f"unknown parameter {k!r}", fieldname=k, rule="known key")
+                raise ParamError(f"unknown parameter {k!r}")
             values[k] = _parse_value(k, str(v), 0) if isinstance(v, str) else v
             prov[k] = "override"
     return ExperimentParams(provenance=prov, **values)

@@ -6,10 +6,10 @@ network routes the lowest common heralded index to the swap station, and the
 swap/verification clicks are sampled from the conditional distributions the
 Fock engine computes for the surviving quadruple.  Interference-bearing
 stages are never sampled classically; only multiplexing, routing and the
-cutoff policy are.
+storage-time cutoff are.
 
 Randomness is counter-based (Philox) and sliced per trial index, so a batch
-gives bit-identical outcomes for any chunking or worker decomposition.
+gives bit-identical outcomes for any chunking.
 Stream layout, per trial index i:
 
   herald stream        key (seed, stream_offset):   ticks [E*i, E*(i+1)),
@@ -46,8 +46,6 @@ __all__ = [
     "sweep",
     "SWEEP_AXES",
     "SWEEP_OBSERVABLES",
-    "apply_cutoff_policy",
-    "cutoff_tradeoff",
 ]
 
 # Maximum trials vectorized per chunk; chunk boundaries are tick-aligned so
@@ -344,22 +342,17 @@ def _fringe_fit(thetas: np.ndarray, k: np.ndarray, n: np.ndarray):
 
 def run_batch(params: ExperimentParams, n_trials: int,
               theta_grid: Optional[Sequence[float]] = None, seed: int = 0,
-              workers: int = 1, n_max: int = fock.DEFAULT_N_MAX,
-              conditioning: str = "heralded",
+              n_max: int = fock.DEFAULT_N_MAX, conditioning: str = "heralded",
               stream_offset: int = 0) -> SwapStatistics:
     """Run n_trials repetitions and accumulate SwapStatistics.
 
     Trial i is assigned theta_grid[i mod len(theta_grid)].  The trial
     index alone fixes every uniform the trial consumes, so the outcome
-    sequence is bit-identical for any `workers` value; the parameter only
-    sets the block decomposition used during accumulation (blocks are
-    evaluated in order, in process: the vectorized inner loop is the fast
-    path and merging is plain addition).
+    sequence is bit-identical for any CHUNK_TRIALS; chunks are evaluated
+    in order and merged by plain addition.
     """
     if n_trials < 1:
         raise ParamError("n_trials must be >= 1")
-    if workers < 1:
-        raise ParamError("workers must be >= 1")
     seed = _check_seed(seed)
     if theta_grid is None:
         theta_grid = fock.default_theta_grid()
@@ -391,20 +384,9 @@ def run_batch(params: ExperimentParams, n_trials: int,
         fringe_cut = np.zeros((n_th, 3))
         p_swap1 = 0.0
 
-    # worker blocks, then CHUNK_TRIALS chunks inside each; all boundaries
-    # are trial-index-aligned so the decomposition is invisible to the RNG
-    block = -(-n_trials // workers)
-    starts = []
-    for w in range(workers):
-        lo = w * block
-        hi = min(n_trials, lo + block)
-        s = lo
-        while s < hi:
-            e = min(hi, s + CHUNK_TRIALS)
-            starts.append((s, e))
-            s = e
-
-    for lo, hi in starts:
+    # chunk boundaries are trial-index-aligned, so chunking is invisible to the RNG
+    for lo in range(0, n_trials, CHUNK_TRIALS):
+        hi = min(n_trials, lo + CHUNK_TRIALS)
         count = hi - lo
         eg = _uniform_block(seed, stream_offset, ticks * lo,
                             ticks * count).reshape(count, words)[:, : 2 * m]
@@ -602,10 +584,9 @@ def _point_params(params: ExperimentParams, axis: str, value: float) -> Experime
 
 def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
           n_trials: int, theta_grid: Optional[Sequence[float]] = None,
-          seed: int = 0, observable: str = "concurrence", workers: int = 1,
+          seed: int = 0, observable: str = "concurrence",
           n_max: int = fock.DEFAULT_N_MAX, conditioning: str = "heralded",
-          name: Optional[str] = None,
-          return_stats: bool = False):
+          name: Optional[str] = None) -> CurveSeries:
     """One run_batch per value, emitted as CurveSeries rows (x, y, sigma).
 
     t2 sweeps keep the readout spacing fixed (t1 = t2 - delta_t).  Each
@@ -620,18 +601,15 @@ def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
         observable = "fourfold"
 
     rows = []
-    stats_list = []
     for i, value in enumerate(vals):
         p_i = _point_params(params, axis, value)
         grid_i = [value] if axis == "theta" else theta_grid
         stats = run_batch(p_i, n_trials, theta_grid=grid_i, seed=seed,
-                          workers=workers, n_max=n_max, conditioning=conditioning,
+                          n_max=n_max, conditioning=conditioning,
                           stream_offset=2 * i)
-        y, sig = _observable(stats, observable)
-        rows.append((value, y, sig))
-        stats_list.append(stats)
+        rows.append((value, *_observable(stats, observable)))
 
-    series = CurveSeries(
+    return CurveSeries(
         name=name or f"{observable}_vs_{axis}",
         columns=(axis, observable, "sigma"),
         rows=tuple(rows),
@@ -646,73 +624,4 @@ def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
             "conditioning": conditioning,
             "source": "monte-carlo",
         },
-    )
-    if return_stats:
-        return series, stats_list
-    return series
-
-
-def apply_cutoff_policy(params: ExperimentParams, policy) -> ExperimentParams:
-    """Return params with the storage-time cutoff set per policy.
-
-    policy: None or "none" clears the cutoff; ("fixed", t_max) or a bare
-    number sets it.  t_max must exceed t1, otherwise no trial could ever
-    reach the swap.
-    """
-    if policy is None or policy == "none":
-        return with_overrides(params, cutoff_us=None)
-    if isinstance(policy, (tuple, list)):
-        if len(policy) != 2 or policy[0] != "fixed":
-            raise ParamError(f"unrecognized cutoff policy {policy!r}")
-        t_max = float(policy[1])
-    else:
-        t_max = float(policy)
-    if t_max <= params.t1_us:
-        raise ParamError(f"cutoff {t_max} must exceed t1 = {params.t1_us}")
-    return with_overrides(params, cutoff_us=t_max)
-
-
-def cutoff_tradeoff(params: ExperimentParams, cutoff_values: Sequence[float],
-                    t2_values: Sequence[float], n_trials: int,
-                    theta_grid: Optional[Sequence[float]] = None, seed: int = 0,
-                    workers: int = 1) -> tuple:
-    """Rate-versus-quality pairs for a family of cutoff policies.
-
-    Storage time is modeled as uniform over t2_values (each point one batch);
-    a cutoff discards the points beyond it.  Returns two CurveSeries over
-    t_max: mean concurrence of accepted trials, and the accepted-trial rate.
-    """
-    cvals = [float(c) for c in cutoff_values]
-    if cvals != sorted(cvals):
-        raise ParamError("cutoff values must be sorted ascending")
-
-    base = apply_cutoff_policy(params, "none")
-    series, stats = sweep(base, "t2", t2_values, n_trials, theta_grid=theta_grid,
-                          seed=seed, observable="concurrence", workers=workers,
-                          return_stats=True)
-    t2s = np.array([r[0] for r in series.rows])
-    c = np.array([r[1] for r in series.rows])
-    sig = np.array([r[2] for r in series.rows])
-
-    c_rows, rate_rows = [], []
-    for t_max in cvals:
-        apply_cutoff_policy(params, t_max)  # validates t_max against t1
-        keep = t2s <= t_max
-        k = int(keep.sum())
-        if k:
-            c_mean = float(np.mean(c[keep]))
-            c_sig = float(np.sqrt(np.sum(sig[keep] ** 2)) / k)
-        else:
-            c_mean, c_sig = float("nan"), float("nan")
-        c_rows.append((t_max, c_mean, c_sig))
-        rate = k / len(t2s)
-        rate_rows.append((t_max, rate, math.sqrt(rate * (1 - rate) / len(t2s))))
-
-    meta = dict(series.metadata)
-    meta["t2_values"] = [float(v) for v in t2_values]
-    return (
-        CurveSeries(name="cutoff_concurrence", columns=("t_max", "concurrence", "sigma"),
-                    rows=tuple(c_rows), metadata=meta),
-        CurveSeries(name="cutoff_accepted_rate", columns=("t_max", "accepted_rate", "sigma"),
-                    rows=tuple(rate_rows), metadata=meta),
     )

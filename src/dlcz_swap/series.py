@@ -89,12 +89,6 @@ class CurveSeries:
                    rows=tuple(tuple(r) for r in d["rows"]),
                    metadata=dict(d.get("metadata", {})))
 
-    def x_values(self):
-        return [r[0] for r in self.rows]
-
-    def y_values(self):
-        return [r[1] for r in self.rows]
-
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file + rename, never a partial file."""

@@ -1,22 +1,21 @@
-"""Acceptance gate: ten end-to-end checks, one verdict line each.
+"""Acceptance gate: every check in cli.CHECKS, plus two heavy MC checks.
 
-Every test prints a single [PASS]/[FAIL] line with the measured numbers
-(run with `-s` to see them on success) and then asserts.  The checks tie
-the three layers together: closed-form model, density-matrix engine, and
-Monte Carlo protocol runs.  Statistical checks run at frozen seeds so a
-verdict is reproducible bit for bit.
+Each test prints one [PASS]/[FAIL] line with the measured numbers (run with
+`-s` to see them on success) and then asserts.  The registry checks are the
+same objects `dlcz-swap validate` runs, so the gate and the command cannot
+drift apart.  The two plain tests below stay out of the registry because
+their trial counts would slow `validate`.  Statistical checks run at frozen
+seeds so a verdict is reproducible bit for bit.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize, stats
+from scipy import stats
 
 from dlcz_swap import analytic, cli, fock, protocol
-from dlcz_swap.analytic import ClampedVisibilityWarning
-from dlcz_swap.params import experiment_defaults, with_overrides
+from dlcz_swap.params import with_overrides
 
 
 def _verdict(ok: bool, label: str, detail: str) -> None:
@@ -24,132 +23,10 @@ def _verdict(ok: bool, label: str, detail: str) -> None:
     assert ok, f"{label}: {detail}"
 
 
-def test_retrieval_decay_endpoints(defaults):
-    g0 = analytic.retrieval_efficiency(0.0, defaults)
-    g320 = analytic.retrieval_efficiency(320.0, defaults)
-    ok = g0 == 0.68 and abs(g320 - 0.25016) <= 1e-5
-    _verdict(ok, "retrieval decay endpoints",
-             f"gamma(0)={g0:.6f} (want 0.68), gamma(320us)={g320:.7f} "
-             f"(want 0.25016 +/- 1e-5)")
-
-
-def test_cross_correlation_start_and_monotone(defaults):
-    g_b0 = analytic.cross_correlation(0.0, defaults.z_b, defaults)
-    g_ac0 = analytic.cross_correlation(0.0, defaults.z_ac, defaults)
-    grid = np.linspace(0.0, 400.0, 100)
-    g_b = np.array([analytic.cross_correlation(t, defaults.z_b, defaults)
-                    for t in grid])
-    g_ac = np.array([analytic.cross_correlation(t, defaults.z_ac, defaults)
-                     for t in grid])
-    mono = bool(np.all(np.diff(g_b) <= 1e-12) and np.all(np.diff(g_ac) <= 1e-12))
-    ok = abs(g_b0 - 40.08) <= 0.01 and abs(g_ac0 - 36.05) <= 0.01 and mono
-    _verdict(ok, "cross-correlation start values and decay",
-             f"g_b(0)={g_b0:.4f} (want 40.08 +/- 0.01), "
-             f"g_ac(0)={g_ac0:.4f} (want 36.05 +/- 0.01), "
-             f"monotone non-increasing on 100-point [0,400]us grid: {mono}")
-
-
-def test_visibility_threshold_roots():
-    g_approx = analytic.threshold_g(form="approx")
-    g_exact = analytic.threshold_g(form="exact")
-    rel = abs(g_approx - 29.3) / 29.3
-    ok = (abs(g_approx - 29.856) <= 1e-3
-          and rel < 0.025
-          and abs(g_exact - 27.3) <= 0.1)
-    _verdict(ok, "entanglement threshold roots",
-             f"approx-form root={g_approx:.4f} (want 29.856 +/- 0.001, "
-             f"{100 * rel:.2f}% from the reported 29.3, limit 2.5%), "
-             f"exact-form root={g_exact:.4f} (want 27.3 +/- 0.1)")
-
-
-def test_engine_matches_closed_form_fringe(defaults):
-    # The closed-form coincidence sums its noise branches without the
-    # photon-bunching terms the full state keeps, so the two curves are
-    # compared on the fringe scale: |engine - closed| <= 5*chi * max(closed).
-    # A pointwise-relative bound at the fringe null would reject every
-    # faithful simulation, because the bunching correction stays finite
-    # while the null itself vanishes.
-    thetas = fock.default_theta_grid(16)
-    report = fock.swap_pipeline(defaults, thetas=thetas)
-    closed = np.array([analytic.coincidence_probability(t, defaults)
-                       for t in thetas])
-    engine = np.array([report.p_coinc[t] for t in report.thetas])
-    scale = float(closed.max())
-    worst = float(np.max(np.abs(engine - closed)))
-    tol = 5.0 * defaults.chi * scale
-    v_closed = analytic.visibility(analytic.correlation_pair(defaults),
-                                   form="exact")
-    v_gap = abs(report.visibility_fringe - v_closed)
-    v_tol = 5.0 * defaults.chi * v_closed
-    ok = worst <= tol and v_gap <= v_tol
-    _verdict(ok, "engine vs closed-form interference",
-             f"worst |coincidence gap|={worst:.2e} <= {tol:.2e} "
-             f"(5*chi of fringe peak, 16-point grid); "
-             f"visibility {report.visibility_fringe:.6f} vs {v_closed:.6f}, "
-             f"gap {v_gap:.4f} <= {v_tol:.4f}")
-
-
-def test_balanced_splitter_cancels_coincidence():
-    reg = fock.ModeRegister(("u", "v"), n_max=2)
-    d = reg.dim_per_mode
-    psi = np.zeros(reg.dim, dtype=np.complex128)
-    psi[1 * d + 1] = 1.0  # one photon in each input
-    state = fock.FockState(reg, np.outer(psi, psi.conj()))
-    out = fock.apply_beam_splitter(state, "u", "v")
-    coinc = abs(out.rho[1 * d + 1, 1 * d + 1])
-    joint = fock.joint_clicks(out, "u", "v", eta=1.0)[(True, True)]
-    ok = coinc <= 1e-12 and joint <= 1e-12
-    _verdict(ok, "two-photon interference cancellation",
-             f"P(1,1) after 50/50 splitter: state element {coinc:.2e}, "
-             f"perfect-detector coincidence {joint:.2e} (limit 1e-12)")
-
-
-def test_concurrence_estimator_consistency(defaults):
-    report = fock.swap_pipeline(defaults)
-    gap = abs(report.concurrence_wootters - report.concurrence_estimator)
-    allowance = report.p_ij_spin["p11"] + abs(1.0 - report.block_total)
-    # Noise-free limit: no pair-source multiphoton terms, no background,
-    # unit memory and detector efficiency, negligible storage time.  The
-    # swapped state is then Bell-plus-vacuum and both routes must land on
-    # the single-excitation weight p_c.  1e-8 absolute: the estimator takes
-    # sqrt(p00*p11) and the matrix square root amplifies ~1e-17 float dust.
-    ideal = with_overrides(defaults, chi=0.0, eta=1.0, gamma0=1.0,
-                           tau0_us=1e9, z_b=0.0, z_ac=0.0, xi_se=0.0,
-                           t2_us=1e-9)
-    rep0 = fock.swap_pipeline(ideal, thetas=(0.0, math.pi / 2, math.pi),
-                              conditioning="ideal")
-    ideal_gap = max(abs(rep0.concurrence_wootters - rep0.p_c_spin),
-                    abs(rep0.concurrence_estimator - rep0.p_c_spin))
-    ok = gap <= allowance and ideal_gap <= 1e-8
-    _verdict(ok, "concurrence estimator consistency",
-             f"|C_wootters - C_estimator|={gap:.5f} <= p11+leak={allowance:.5f} "
-             f"at defaults; noise-free limit |C - p_c|={ideal_gap:.2e} "
-             f"(limit 1e-8, p_c={rep0.p_c_spin:.6f})")
-
-
-def test_concurrence_zero_crossing_location(defaults):
-    # Sweep the verification readout time with the swap readout 2us ahead
-    # of it.  The approximate concurrence p_c*(V - sqrt(h)) changes sign
-    # where V = sqrt(h); the sign of the margin alone decides the zero for
-    # any positive p_c normalization.
-    def margin(t2):
-        p = with_overrides(defaults, t1_us=t2 - 2.0, t2_us=t2)
-        corr = analytic.correlation_pair(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ClampedVisibilityWarning)
-            v = analytic.visibility(corr, form="approx", clamp=False)
-        return v - math.sqrt(analytic.suppression(corr))
-
-    t2_star = optimize.brentq(margin, 2.0, 120.0, xtol=1e-10)
-    p_star = with_overrides(defaults, t1_us=t2_star - 2.0, t2_us=t2_star)
-    corr = analytic.correlation_pair(p_star)
-    mean_g = 0.5 * (corr.g_b + corr.g_ac)
-    m32 = margin(32.0)
-    ok = 29.0 <= mean_g <= 31.0 and m32 > 0.0
-    _verdict(ok, "concurrence zero crossing",
-             f"sign change at t2={t2_star:.2f}us where mean correlation "
-             f"g={mean_g:.2f} (want within [29, 31]); margin at t2=32us is "
-             f"{m32:+.4f} so C(32us) > 0 for any positive normalization")
+@pytest.mark.parametrize("name, check", cli.CHECKS, ids=[n for n, _ in cli.CHECKS])
+def test_check(name, check):
+    ok, detail = check()
+    _verdict(ok, name, detail)
 
 
 def test_multiplexed_generation_gain_and_linearity(defaults):
@@ -239,19 +116,3 @@ def test_monte_carlo_matches_engine_conditionals(defaults):
     _verdict(ok, "Monte Carlo vs engine conditionals",
              f"{len(checks)} conditional click probabilities at n=1e6, "
              f"worst deviation {worst:.2f} sigma ({worst_lab}), limit 4")
-
-
-def test_simulate_determinism_across_workers(tmp_path):
-    base = ["simulate", "--trials", "60000", "--seed", "42",
-            "--theta-points", "8"]
-    outs = []
-    for tag, workers in (("a", 1), ("b", 1), ("c", 3)):
-        d = tmp_path / tag
-        assert cli.main(base + ["--workers", str(workers),
-                                "--out", str(d)]) == 0
-        outs.append(d)
-    same = all((outs[0] / name).read_bytes() == (d / name).read_bytes()
-               for d in outs[1:] for name in ("simulate.json", "simulate.csv"))
-    _verdict(same, "seeded determinism",
-             "simulate --seed 42 twice at 1 worker and once at 3 workers: "
-             f"byte-identical json+csv = {same}")

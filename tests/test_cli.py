@@ -83,6 +83,14 @@ def test_threshold_asymmetric(tmp_path):
     assert report["threshold_g_ac_asymmetric"] < report["threshold_approx"]
 
 
+@pytest.mark.parametrize("g_b", ["-5", "0", "1", "nan", "4"])
+def test_threshold_bad_fixed_g_b_exits_2(tmp_path, g_b, capsys):
+    # g_b <= 1 is below the classical floor; g_b = 4 leaves no g_ac root
+    assert cli.main(["threshold", f"--fixed-g-b={g_b}", "--out", str(tmp_path)]) == 2
+    assert "--fixed-g-b" in capsys.readouterr().err
+    assert not (tmp_path / "threshold.json").exists()
+
+
 def test_figures_write_parseable_files(tmp_path):
     fast = ["--trials", "4000", "--theta-points", "4"]
     for fig in cli.FIGURE_IDS:
@@ -135,18 +143,6 @@ def test_fig4_multiplexing_linear(tmp_path):
         assert abs(y_mc - y_exp) < 4.5 * max(sig, 1e-9)
 
 
-def test_simulate_worker_count_invisible(tmp_path):
-    base = ["simulate", "--trials", "30000", "--seed", "42",
-            "--theta-points", "8"]
-    d1, d2 = tmp_path / "w1", tmp_path / "w2"
-    assert cli.main(base + ["--workers", "1", "--out", str(d1)]) == 0
-    assert cli.main(base + ["--workers", "2", "--out", str(d2)]) == 0
-    for name in ("simulate.json", "simulate.csv"):
-        b1 = (d1 / name).read_bytes()
-        b2 = (d2 / name).read_bytes()
-        assert b1 == b2, f"{name} differs with worker count"
-
-
 def test_simulate_rerun_byte_identical(tmp_path):
     base = ["simulate", "--trials", "20000", "--seed", "7"]
     d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -190,6 +186,13 @@ def test_sweep_unsorted_values_exit_2(tmp_path):
                      "--trials", "1000", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("values", ["2,abc", ",", "2,nan"])
+def test_sweep_bad_values_exit_2(tmp_path, values):
+    assert cli.main(["sweep", "--axis", "t2", "--values", values,
+                     "--trials", "1000", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_sweep_bad_axis_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--axis", "zeta", "--values", "1",
@@ -215,6 +218,19 @@ def test_validate_catches_corrupted_golden(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" in out
     assert str(bad) in out
+
+
+def test_validate_pins_mc_golden_batch(tmp_path, monkeypatch, capsys):
+    # the frozen batch replays bit for bit, so a 1e-9 relative shift fails
+    golden = json.loads(open(cli._golden_path()).read())
+    golden["mc"]["rates"]["p_es"] *= 1.0 + 1e-9
+    bad = tmp_path / "golden.json"
+    bad.write_text(json.dumps(golden))
+    monkeypatch.setattr(cli, "_golden_path", lambda: str(bad))
+    assert cli.main(["validate"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and "mc-vs-engine" in fails[0] and str(bad) in fails[0]
 
 
 def test_validate_writes_report(tmp_path):

@@ -6,7 +6,6 @@ against the implementation's own matrices.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from dlcz_swap.fock import (
     detector_extra,
     heralded_spin_state,
     in_mode_noise,
-    inject_leakage,
     inject_noise,
     joint_clicks,
     measure_click,
@@ -184,27 +182,6 @@ def test_inject_noise_no_headroom():
     capped = _pure(reg, (1,))
     with pytest.raises(ValueError):
         inject_noise(capped, "r", 0.1)
-
-
-def test_inject_leakage_unretrieved_emission():
-    # a spin excitation that was NOT retrieved emits with prob xi*f
-    reg = ModeRegister(("spin", "read"), n_max=2)
-    state = _pure(reg, (1, 0))  # retrieval skipped entirely (gamma = 0)
-    out = inject_leakage(state, "spin", "read", gamma_t=0.0, xi_se=0.3, f_cav=1.0)
-    assert np.allclose(out.occupation("read"), [0.7, 0.3, 0.0], atol=1e-12)
-    out.validate(atol=1e-10)
-    # gamma = 1 means nothing is left behind to emit
-    same = inject_leakage(state, "spin", "read", gamma_t=1.0, xi_se=0.3, f_cav=1.0)
-    assert np.allclose(same.rho, state.rho)
-
-
-def test_inject_leakage_clamps_rate():
-    reg = ModeRegister(("spin", "read"), n_max=2)
-    state = _pure(reg, (1, 0))
-    with pytest.warns(UserWarning):
-        out = inject_leakage(state, "spin", "read", gamma_t=0.0, xi_se=0.3, f_cav=10.0)
-    # clamped to certain emission
-    assert out.occupation("read")[1] == pytest.approx(1.0, abs=1e-12)
 
 
 # -- detection --------------------------------------------------------------

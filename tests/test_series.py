@@ -24,8 +24,7 @@ def _series(name="demo", metadata=None):
 
 def test_rows_coerced_and_sorted():
     s = _series()
-    assert s.x_values() == [0.0, 1.5, 2.0]
-    assert s.y_values() == [1.0, 0.5, 0.25]
+    assert [r[:2] for r in s.rows] == [(0.0, 1.0), (1.5, 0.5), (2.0, 0.25)]
     assert all(isinstance(v, float) for row in s.rows for v in row)
 
 
