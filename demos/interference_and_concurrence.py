@@ -8,12 +8,10 @@ the storage time until the concurrence changes sign.
 """
 
 import math
-import warnings
 
 import numpy as np
 
 from dlcz_swap import analytic
-from dlcz_swap.analytic import ClampedVisibilityWarning
 from dlcz_swap.params import experiment_defaults, with_overrides
 
 params = experiment_defaults()
@@ -32,7 +30,7 @@ print("verification quality")
 print(f"  visibility (exact form)  V = {v_exact:.4f}")
 print(f"  visibility (approx form) V = {v_approx:.4f}")
 print(f"  suppression parameter    h = {h:.4f}   (sqrt(h) = {math.sqrt(h):.4f})")
-print(f"  entangled iff V > sqrt(h): margin = {v_approx - math.sqrt(h):+.4f}")
+print(f"  entangled iff V > sqrt(h): margin = {analytic.margin(corr):+.4f}")
 print()
 
 # the interference fringe itself: coincidence probability vs detection phase
@@ -49,26 +47,17 @@ print()
 # independent of the p_c normalization.
 
 
-def margin(t2):
-    p = with_overrides(params, t1_us=t2 - 2.0, t2_us=t2)
-    c = analytic.correlation_pair(p)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampedVisibilityWarning)
-        v = analytic.visibility(c, form="approx", clamp=False)
-    return v - math.sqrt(analytic.suppression(c))
+def at_t2(t2):
+    return with_overrides(params, t1_us=t2 - params.delta_t_us, t2_us=t2)
 
 
 print("concurrence sign vs verification readout time (2us readout spacing)")
 print(f"  {'t2 [us]':>8} {'V - sqrt(h)':>12} {'mean g':>8}")
 for t2 in range(2, 72, 10):
-    p = with_overrides(params, t1_us=t2 - 2.0, t2_us=t2)
-    c = analytic.correlation_pair(p)
-    print(f"  {t2:8d} {margin(float(t2)):12.4f} {(c.g_b + c.g_ac) / 2:8.2f}")
+    c = analytic.correlation_pair(at_t2(t2))
+    print(f"  {t2:8d} {analytic.margin(c):12.4f} {(c.g_b + c.g_ac) / 2:8.2f}")
 
-from scipy.optimize import brentq
-
-t2_star = brentq(margin, 2.0, 120.0)
-p_star = with_overrides(params, t1_us=t2_star - 2.0, t2_us=t2_star)
-c_star = analytic.correlation_pair(p_star)
+t2_star = analytic.zero_crossing_t2(params)
+c_star = analytic.correlation_pair(at_t2(t2_star))
 print(f"\nzero crossing at t2 = {t2_star:.2f} us, "
       f"where the mean correlation is {(c_star.g_b + c_star.g_ac) / 2:.2f}")

@@ -2,8 +2,11 @@
 
 Retrieval decay, the anti-Stokes detection probability, the
 signal-to-noise cross-correlation g, fringe visibility, the two-photon
-suppression parameter h, the concurrence estimators built from them, the
-g-threshold where entanglement appears, and the multiplexed generation rate.
+suppression parameter h, the concurrence estimators and the margin
+V - sqrt(h) built from them, the g-threshold and the storage time where that
+margin reaches zero, and the multiplexed generation rate.  The two roots are
+solved by a small bisection, so importing the package does not pull in
+scipy.optimize.
 
 Everything here is scalar math on ExperimentParams; the density-matrix engine
 (fock.py) validates these forms, and the Monte Carlo layer (protocol.py)
@@ -13,12 +16,11 @@ samples from engine distributions and is compared back against both.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import bisect
-
-from .params import ExperimentParams
+from .params import ExperimentParams, with_overrides
 
 __all__ = [
     "CorrelationPair",
@@ -33,7 +35,9 @@ __all__ = [
     "suppression",
     "concurrence",
     "coincidence_probability",
+    "margin",
     "threshold_g",
+    "zero_crossing_t2",
     "single_mode_herald_probability",
     "multiplexed_eg_probability",
     "swap_pair_probability",
@@ -229,9 +233,43 @@ def coincidence_probability(theta: float, params: ExperimentParams) -> float:
     return signal + noise
 
 
-def _net_correlation(g_b: float, g_ac: float, form: str) -> float:
-    corr = CorrelationPair(g_b=g_b, g_ac=g_ac)
-    return visibility(corr, form=form, clamp=False) - math.sqrt(suppression(corr))
+def margin(corr: CorrelationPair, form: str = "approx") -> float:
+    """V - sqrt(h), the sign-carrying part of the pairwise entanglement estimate.
+
+    The approximate concurrence is this margin scaled by the positive
+    conditional pair rate p_c, so its zero crossing is the concurrence zero
+    crossing.  The visibility is taken unclamped so the sign stays visible.
+    """
+    v = visibility(corr, form=form, clamp=False)
+    return v - math.sqrt(suppression(corr))
+
+
+def _bisect(fun, lo: float, hi: float, xtol: float) -> float:
+    """Root of fun on [lo, hi] by bisection.
+
+    The loop of scipy.optimize.bisect with its default rtol (4 eps) and
+    maxiter (100), so roots come out bit for bit as scipy's would.
+    """
+    rtol = 4.0 * sys.float_info.epsilon
+    flo, fhi = fun(lo), fun(hi)
+    if flo * fhi > 0:
+        raise ValueError(
+            f"no sign change on bracket ({lo:g}, {hi:g}): f(lo)={flo:g}, f(hi)={fhi:g}"
+        )
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    dm = hi - lo
+    for _ in range(100):
+        dm *= 0.5
+        xm = lo + dm
+        fm = fun(xm)
+        if fm * flo >= 0:
+            lo = xm
+        if fm == 0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection did not converge to xtol={xtol:g} in 100 steps")
 
 
 def threshold_g(form: str = "approx", fixed_g_b: float | None = None,
@@ -248,16 +286,23 @@ def threshold_g(form: str = "approx", fixed_g_b: float | None = None,
     if form not in ("approx", "exact"):
         raise ValueError(f"unknown threshold form {form!r}")
     if fixed_g_b is None:
-        fun = lambda g: _net_correlation(g, g, form)
+        fun = lambda g: margin(CorrelationPair(g_b=g, g_ac=g), form)
     else:
-        fun = lambda g: _net_correlation(fixed_g_b, g, form)
-    lo, hi = bracket
-    flo, fhi = fun(lo), fun(hi)
-    if flo * fhi > 0:
-        raise ValueError(
-            f"no sign change on bracket ({lo:g}, {hi:g}): f(lo)={flo:g}, f(hi)={fhi:g}"
-        )
-    return bisect(fun, lo, hi, xtol=tol)
+        fun = lambda g: margin(CorrelationPair(g_b=fixed_g_b, g_ac=g), form)
+    return _bisect(fun, *bracket, xtol=tol)
+
+
+def zero_crossing_t2(params: ExperimentParams) -> float:
+    """Storage time t2 (us) where the approximate margin changes sign.
+
+    Both readouts move together at the fixed spacing (t1 = t2 - delta_t);
+    the root is bracketed on [delta_t, 120] us and solved to 1e-10 us.
+    """
+    def fun(t2):
+        point = with_overrides(params, t1_us=t2 - params.delta_t_us, t2_us=t2)
+        return margin(correlation_pair(point))
+
+    return _bisect(fun, params.delta_t_us, 120.0, xtol=1e-10)
 
 
 def single_mode_herald_probability(params: ExperimentParams) -> float:

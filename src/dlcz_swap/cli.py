@@ -21,7 +21,6 @@ import warnings
 from importlib import resources
 
 import numpy as np
-from scipy import optimize
 
 from . import analytic, fock, protocol
 from ._version import __version__
@@ -134,16 +133,6 @@ def _fig2(params, args):
                       analytic.visibility) for form in ("exact", "approx")] + [mc]
 
 
-def _margin(corr, form: str = "approx") -> float:
-    """V - sqrt(h), the sign-carrying part of the pairwise entanglement estimate.
-
-    Concurrence is this margin scaled by the positive conditional pair rate,
-    so its zero crossing is the concurrence zero crossing.
-    """
-    v = analytic.visibility(corr, form=form, clamp=False)
-    return v - math.sqrt(analytic.suppression(corr))
-
-
 def _fig3(params, args):
     t2_mc = np.arange(params.delta_t_us, 62.0 + 1e-9, 6.0)
     mc = protocol.sweep(params, "t2", t2_mc, args.trials, seed=args.seed,
@@ -157,7 +146,7 @@ def _fig3(params, args):
     engine = CurveSeries("concurrence_engine", ("t2_us", "concurrence", "sigma"),
                          tuple(eng_rows), _meta(params, source="fock-engine"))
     return [_t2_curve(params, f"visibility_minus_sqrt_h_{form}", "margin", form,
-                      _margin) for form in ("approx", "exact")] + [engine, mc]
+                      analytic.margin) for form in ("approx", "exact")] + [engine, mc]
 
 
 def _fig4(params, args):
@@ -196,7 +185,7 @@ def cmd_threshold(args) -> int:
     g_approx = analytic.threshold_g(form="approx")
     g_exact = analytic.threshold_g(form="exact")
     rel = abs(g_approx - REPORTED_THRESHOLD_G) / REPORTED_THRESHOLD_G
-    residual = _margin(CorrelationPair(g_b=g_approx, g_ac=g_approx))
+    residual = analytic.margin(CorrelationPair(g_b=g_approx, g_ac=g_approx))
 
     print(f"threshold g* (approx visibility form): {g_approx!r}")
     print(f"threshold g* (exact visibility form):  {g_exact!r}")
@@ -240,7 +229,7 @@ def cmd_analytic(args) -> int:
         "visibility_exact": v_exact,
         "visibility_approx": v_approx,
         "suppression_h": h,
-        "margin_approx": v_approx - math.sqrt(h),
+        "margin_approx": analytic.margin(corr),
         "coincidence_theta_0": analytic.coincidence_probability(0.0, params),
         "coincidence_theta_pi": analytic.coincidence_probability(math.pi, params),
         "herald_p1": analytic.single_mode_herald_probability(params),
@@ -468,14 +457,10 @@ def _check_zero_crossing():
     # t2 sweep at fixed readout spacing; the margin's sign decides the
     # concurrence's for any positive normalization
     params = experiment_defaults()
-
-    def margin(t2):
-        return _margin(analytic.correlation_pair(_t2_point(params, t2)))
-
-    t2_star = optimize.brentq(margin, params.delta_t_us, 120.0, xtol=1e-10)
+    t2_star = analytic.zero_crossing_t2(params)
     corr = analytic.correlation_pair(_t2_point(params, t2_star))
     mean_g = 0.5 * (corr.g_b + corr.g_ac)
-    m32 = margin(32.0)
+    m32 = analytic.margin(analytic.correlation_pair(_t2_point(params, 32.0)))
     return (29.0 <= mean_g <= 31.0 and m32 > 0.0,
             f"sign change at t2={t2_star:.2f}us, mean g={mean_g:.2f} "
             f"(want [29, 31]); margin(t2=32us)={m32:+.4f}")
@@ -487,9 +472,14 @@ def _check_mc_vs_engine(path, golden):
     gm = golden["mc"]
     boost = with_overrides(experiment_defaults(), **gm["overrides"])
     stats = protocol.run_batch(boost, gm["n_trials"], seed=gm["seed"])
-    drift = [f"{key}: have {getattr(stats, key)!r} want {want!r}"
-             for key, want in gm["rates"].items()
-             if abs(getattr(stats, key) - want) > 1e-12 * abs(want)]
+    # each rate's denominator: routed trials for p_es, swap clicks for the rest
+    counts = {"p_es": stats.n_routed, "p11": stats.n_es, "p00": stats.n_es}
+    drift = [f"n_denominator.{key}: have {counts.get(key)!r} want {want!r}"
+             for key, want in gm["n_denominator"].items()
+             if counts.get(key) != want]
+    drift += [f"{key}: have {getattr(stats, key)!r} want {want!r}"
+              for key, want in gm["rates"].items()
+              if abs(getattr(stats, key) - want) > 1e-12 * abs(want)]
     if drift:
         return False, f"{path}: seed {gm['seed']} batch moved: " + "; ".join(drift)
     tables = protocol.conditional_tables(boost, stats.thetas)

@@ -13,10 +13,16 @@ gives bit-identical outcomes for any chunking.
 Stream layout, per trial index i:
 
   herald stream        key (seed, stream_offset):   ticks [E*i, E*(i+1)),
-                       E = ceil(2m/4); first 2m doubles used, writes of
+                       E = ceil(2m/4); first 2m uniforms used, writes of
                        link A-B1 first, then B2-C.
-  interference stream  key (seed, stream_offset+1): tick i, four doubles
+  interference stream  key (seed, stream_offset+1): tick i, four uniforms
                        [u_swap, u_fringe, u_counting, spare].
+
+Each uniform is the double Generator.random() makes of one 64-bit Philox
+word w, u = (w >> 11) * 2**-53.  run_batch decides u < p on the raw word
+instead, as w < ceil(p * 2**53) * 2**11, which holds for exactly the same
+words; only the fringe and counting uniforms of swap-click trials are
+converted to doubles.  trial_stream/run_trial keep drawing doubles.
 """
 
 from __future__ import annotations
@@ -49,14 +55,16 @@ __all__ = [
 ]
 
 # Maximum trials vectorized per chunk; chunk boundaries are tick-aligned so
-# the decomposition never changes the sampled outcomes.
-CHUNK_TRIALS = 1_000_000
+# the decomposition never changes the sampled outcomes.  Sized for cache: at
+# m=32 a chunk's herald decisions are a 1 MB bool block.
+CHUNK_TRIALS = 16_384
 
 # Fixed unpacking order of joint two-detector outcomes when inverting a
 # uniform against the cumulative distribution.
 JOINT_ORDER = ((True, True), (True, False), (False, True), (False, False))
 
 _WORDS_PER_TICK = 4  # Philox4x64 emits four 64-bit words per counter tick
+_TWO_53 = float(2 ** 53)  # Generator.random() keeps the top 53 bits of a word
 
 
 def _herald_ticks(m_modes: int) -> int:
@@ -69,6 +77,25 @@ def _uniform_block(seed: int, stream: int, first_tick: int, n_ticks: int) -> np.
     if first_tick:
         bg.advance(first_tick)
     return np.random.Generator(bg).random(n_ticks * _WORDS_PER_TICK)
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """Where the uniform (w >> 11) * 2**-53 of each raw word w is < p.
+
+    That holds exactly when w < ceil(p * 2**53) << 11.  The two ends are
+    explicit: no uniform is below p <= 0 (or NaN), and every one is below
+    p >= 1, where ceil(p * 2**53) >= 2**53 and the shift would overflow.
+    """
+    if not p > 0.0:
+        return np.zeros(words.shape, dtype=bool)
+    if p >= 1.0:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(math.ceil(p * _TWO_53) << 11)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The doubles Generator.random() makes of raw Philox words."""
+    return (words >> np.uint64(11)) * (1.0 / _TWO_53)
 
 
 def _check_seed(seed: int) -> int:
@@ -350,6 +377,12 @@ def run_batch(params: ExperimentParams, n_trials: int,
     index alone fixes every uniform the trial consumes, so the outcome
     sequence is bit-identical for any CHUNK_TRIALS; chunks are evaluated
     in order and merged by plain addition.
+
+    Per chunk, the herald words of all trials are compared against the
+    single-mode herald probability in one pass, the per-link and common
+    herald flags are OR-ed column by column, and only routed trials read
+    their swap word.  Only swap-click trials turn their fringe and
+    counting words into uniforms for the table lookup.
     """
     if n_trials < 1:
         raise ParamError("n_trials must be >= 1")
@@ -362,8 +395,7 @@ def run_batch(params: ExperimentParams, n_trials: int,
 
     m = params.m_modes
     p1 = analytic.single_mode_herald_probability(params)
-    ticks = _herald_ticks(m)
-    words = ticks * _WORDS_PER_TICK
+    words = _herald_ticks(m) * _WORDS_PER_TICK
     aborted_all = params.cutoff_us is not None and params.t2_us > params.cutoff_us
     # no trial can reach the swap without heralds or past the cutoff, and
     # the heralded engine state is undefined at chi=0 anyway
@@ -372,54 +404,55 @@ def run_batch(params: ExperimentParams, n_trials: int,
         tables = conditional_tables(params, thetas, n_max, conditioning)
 
     n_th = len(thetas)
-    counters = dict(n_aborted=0, n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=0,
-                    n_es=0, fourfold=0)
-    n_by_theta = np.zeros(n_th, dtype=np.int64)
+    counters = dict(n_aborted=n_trials if aborted_all else 0, n_eg_ab1=0,
+                    n_eg_b2c=0, n_eg=0, n_routed=0, n_es=0, fourfold=0)
+    q, r = divmod(n_trials, n_th)
+    n_by_theta = np.full(n_th, q, dtype=np.int64)
+    n_by_theta[:r] += 1
     ff_by_theta = np.zeros(n_th, dtype=np.int64)
     counting_counts = np.zeros(4, dtype=np.int64)
     if tables is not None:
         fringe_cut = tables.fringe_cdf[:, :3]  # outcome = #boundaries <= u
+        counting_cut = tables.counting_cdf[:3]
         p_swap1 = tables.p_swap1
     else:
         fringe_cut = np.zeros((n_th, 3))
+        counting_cut = np.zeros(3)
         p_swap1 = 0.0
 
-    # chunk boundaries are trial-index-aligned, so chunking is invisible to the RNG
+    # Both streams start at trial 0 and are read in trial order, so each
+    # chunk's draws are the tick-aligned slices trial_stream takes.
+    herald_gen = np.random.Philox(key=[seed, stream_offset])
+    interference_gen = np.random.Philox(key=[seed, stream_offset + 1])
     for lo in range(0, n_trials, CHUNK_TRIALS):
-        hi = min(n_trials, lo + CHUNK_TRIALS)
-        count = hi - lo
-        eg = _uniform_block(seed, stream_offset, ticks * lo,
-                            ticks * count).reshape(count, words)[:, : 2 * m]
-        ui = _uniform_block(seed, stream_offset + 1, lo,
-                            count).reshape(count, _WORDS_PER_TICK)
+        count = min(CHUNK_TRIALS, n_trials - lo)
+        hits = _below(herald_gen.random_raw(count * words).reshape(count, words), p1)
+        ui = interference_gen.random_raw(count * _WORDS_PER_TICK).reshape(
+            count, _WORDS_PER_TICK)
 
-        hits1 = eg[:, :m] < p1
-        hits2 = eg[:, m:] < p1
-        any1 = hits1.any(axis=1)
-        any2 = hits2.any(axis=1)
-        common = (hits1 & hits2).any(axis=1)
-        routed = common & (not aborted_all)
+        any1 = hits[:, 0].copy()
+        any2 = hits[:, m].copy()
+        common = hits[:, 0] & hits[:, m]
+        for j in range(1, m):
+            any1 |= hits[:, j]
+            any2 |= hits[:, m + j]
+            common |= hits[:, j] & hits[:, m + j]
+        routed = np.flatnonzero(common & (not aborted_all))
+        sel = routed[_below(ui[routed, 0], p_swap1)]
 
-        es = routed & (ui[:, 0] < p_swap1)
-        th_idx = (np.arange(lo, hi) % n_th).astype(np.int64)
+        counters["n_eg_ab1"] += int(np.count_nonzero(any1))
+        counters["n_eg_b2c"] += int(np.count_nonzero(any2))
+        counters["n_eg"] += int(np.count_nonzero(any1 & any2))
+        counters["n_routed"] += routed.size
+        counters["n_es"] += sel.size
 
-        counters["n_aborted"] += int(count if aborted_all else 0)
-        counters["n_eg_ab1"] += int(any1.sum())
-        counters["n_eg_b2c"] += int(any2.sum())
-        counters["n_eg"] += int((any1 & any2).sum())
-        counters["n_routed"] += int(routed.sum())
-        counters["n_es"] += int(es.sum())
-        np.add.at(n_by_theta, th_idx, 1)
-
-        if es.any():
-            sel = np.flatnonzero(es)
-            rows = fringe_cut[th_idx[sel]]
-            k_ev = (ui[sel, 1][:, None] >= rows).sum(axis=1)
-            ev1 = k_ev < 2  # JOINT_ORDER: first two outcomes click detector 1
-            counters["fourfold"] += int(ev1.sum())
-            np.add.at(ff_by_theta, th_idx[sel[ev1]], 1)
-            k_c = (ui[sel, 2][:, None] >= tables.counting_cdf[None, :3]).sum(axis=1)
-            np.add.at(counting_counts, k_c, 1)
+        th_idx = (lo + sel) % n_th
+        k_ev = (_uniforms(ui[sel, 1])[:, None] >= fringe_cut[th_idx]).sum(axis=1)
+        ev1 = k_ev < 2  # JOINT_ORDER: first two outcomes click detector 1
+        counters["fourfold"] += int(np.count_nonzero(ev1))
+        ff_by_theta += np.bincount(th_idx[ev1], minlength=n_th)
+        k_c = (_uniforms(ui[sel, 2])[:, None] >= counting_cut).sum(axis=1)
+        counting_counts += np.bincount(k_c, minlength=4)
 
     return _assemble(params, n_trials, counters, thetas, n_by_theta,
                      ff_by_theta, counting_counts, seed, stream_offset)

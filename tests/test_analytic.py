@@ -10,7 +10,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from dlcz_swap import analytic
 from dlcz_swap.analytic import (
     ClampedVisibilityWarning,
     ConcurrenceInputs,
@@ -19,6 +21,7 @@ from dlcz_swap.analytic import (
     concurrence,
     correlation_pair,
     cross_correlation,
+    margin,
     multiplexed_eg_probability,
     prob_antistokes,
     retrieval_efficiency,
@@ -27,6 +30,7 @@ from dlcz_swap.analytic import (
     swap_pair_probability,
     threshold_g,
     visibility,
+    zero_crossing_t2,
 )
 from dlcz_swap.params import with_overrides
 
@@ -187,6 +191,41 @@ def test_threshold_fixed_partner():
     assert v == pytest.approx(math.sqrt(h), abs=1e-9)
     # the weak partner must compensate the strong one: root below symmetric
     assert g < THRESHOLD_APPROX
+
+
+def test_margin_matches_definition():
+    for g_b, g_ac in ((G_B_0, G_AC_0), (10.0, 10.0), (THRESHOLD_APPROX, 50.0)):
+        for form in ("approx", "exact"):
+            assert margin(CorrelationPair(g_b, g_ac), form) == _margin(g_b, g_ac, form)
+
+
+def test_thresholds_bit_identical():
+    # frozen from scipy.optimize.bisect; the private bisection replays its loop
+    assert threshold_g(form="approx") == 29.856406460504033
+    assert threshold_g(form="exact") == 27.242227143382436
+    assert threshold_g(form="approx", fixed_g_b=50.0) == 21.28234736348144
+
+
+def test_bisect_replays_scipy():
+    funs = [lambda x: math.tanh(3.0 * (x - 0.3)),
+            lambda x: x ** 3 - 2.0,
+            lambda x: math.exp(-x) - 0.25]
+    for fun in funs:
+        for lo, hi, xtol in ((-4.0, 5.0, 2e-12), (0.0, 7.0, 1e-10), (-1.0, 3.0, 1e-3)):
+            assert analytic._bisect(fun, lo, hi, xtol) == optimize.bisect(fun, lo, hi, xtol=xtol)
+    with pytest.raises(ValueError, match="no sign change"):
+        analytic._bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-10)
+
+
+def test_zero_crossing_t2(defaults):
+    t2 = zero_crossing_t2(defaults)
+
+    def at(t):
+        point = with_overrides(defaults, t1_us=t - defaults.delta_t_us, t2_us=t)
+        return margin(correlation_pair(point))
+
+    assert at(t2 - 1e-6) > 0.0 > at(t2 + 1e-6)
+    assert t2 == pytest.approx(48.8688952298, abs=1e-8)
 
 
 def test_coincidence_theta0(defaults):

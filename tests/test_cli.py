@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from dlcz_swap import cli, fock
 from dlcz_swap.params import experiment_defaults, serialize_config, with_overrides
 from dlcz_swap.series import read_csv, read_json
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_version_flag(capsys):
@@ -231,6 +237,33 @@ def test_validate_pins_mc_golden_batch(tmp_path, monkeypatch, capsys):
     fails = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("[FAIL]")]
     assert len(fails) == 1 and "mc-vs-engine" in fails[0] and str(bad) in fails[0]
+
+
+def test_validate_pins_mc_golden_counts(tmp_path, monkeypatch, capsys):
+    # the frozen batch's routed and swap-click counts must replay exactly
+    golden = json.loads(open(cli._golden_path()).read())
+    golden["mc"]["n_denominator"]["p_es"] += 1
+    bad = tmp_path / "golden.json"
+    bad.write_text(json.dumps(golden))
+    monkeypatch.setattr(cli, "_golden_path", lambda: str(bad))
+    assert cli.main(["validate"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("[FAIL]")]
+    assert len(fails) == 1 and "mc-vs-engine" in fails[0] and str(bad) in fails[0]
+    assert "n_denominator.p_es" in fails[0]
+
+
+def test_cli_import_skips_scipy_optimize():
+    # the root solves are in analytic; scipy.optimize would add ~0.4 s to
+    # every command's start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = "import sys, dlcz_swap.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_validate_writes_report(tmp_path):

@@ -116,22 +116,39 @@ def test_run_trial_lowest_common_mode(boosted):
     assert out.routed_mode == 2
 
 
-def test_batch_equals_scalar_loop(boosted, monkeypatch):
+# (m, overrides): every m the column loop sees, from empty (m=1) to a
+# herald block spanning 20 ticks (m=40); then the cutoff-abort and chi=0 paths
+SCALAR_CASES = {
+    "m1": (1, {}),
+    "m3": (3, {}),
+    "m12": (12, {}),
+    "m32": (32, {}),
+    "m40": (40, {}),
+    "cutoff-abort": (3, dict(t1_us=0.0, t2_us=50.0, cutoff_us=30.0)),
+    "chi0": (3, dict(chi=0.0)),
+}
+
+
+@pytest.mark.parametrize("m, overrides", SCALAR_CASES.values(), ids=SCALAR_CASES.keys())
+def test_batch_equals_scalar_loop(boosted, monkeypatch, m, overrides):
     # the vectorized accumulator replays the exact per-trial semantics, with
     # chunk boundaries that fall between theta-grid cycles
     monkeypatch.setattr(protocol, "CHUNK_TRIALS", 137)
+    params = with_overrides(boosted, m_modes=m, **overrides)
     n = 1200
     grid = default_theta_grid(4)
-    batch = run_batch(boosted, n, theta_grid=grid, seed=17)
+    batch = run_batch(params, n, theta_grid=grid, seed=17)
 
-    tables = conditional_tables(boosted, tuple(grid))
-    counters = dict(n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=0, n_es=0, fourfold=0)
+    # chi=0 never routes a trial, and the heralded engine state is undefined there
+    tables = conditional_tables(params, tuple(grid)) if params.chi > 0 else None
+    counters = dict(n_aborted=0, n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=0,
+                    n_es=0, fourfold=0)
     counting = np.zeros(4, dtype=int)
     ff_by_theta = np.zeros(len(grid), dtype=int)
     for i in range(n):
         theta = grid[i % len(grid)]
-        out = run_trial(boosted, trial_stream(17, i, boosted.m_modes),
-                        theta, tables=tables)
+        out = run_trial(params, trial_stream(17, i, m), theta, tables=tables)
+        counters["n_aborted"] += out.cutoff_aborted
         counters["n_eg_ab1"] += out.eg_mode_ab1 is not None
         counters["n_eg_b2c"] += out.eg_mode_b2c is not None
         counters["n_eg"] += (out.eg_mode_ab1 is not None
@@ -144,23 +161,55 @@ def test_batch_equals_scalar_loop(boosted, monkeypatch):
                 counters["fourfold"] += 1
                 ff_by_theta[i % len(grid)] += 1
 
-    assert batch.n_eg_ab1 == counters["n_eg_ab1"]
-    assert batch.n_eg_b2c == counters["n_eg_b2c"]
-    assert batch.n_eg == counters["n_eg"]
-    assert batch.n_routed == counters["n_routed"]
-    assert batch.n_es == counters["n_es"]
-    assert batch.fourfold == counters["fourfold"]
+    for key, want in counters.items():
+        assert getattr(batch, key) == want, key
     assert np.array_equal(batch.counting_counts, counting)
     assert np.array_equal(batch.fourfold_by_theta, ff_by_theta)
+    assert np.array_equal(batch.n_by_theta, np.bincount(np.arange(n) % len(grid)))
+    if "cutoff_us" in overrides:
+        assert batch.n_aborted == n and batch.n_eg_ab1 > 0
+    elif params.chi == 0:
+        assert batch.n_eg_ab1 == batch.n_eg_b2c == 0
+    else:
+        assert batch.n_es > 0  # the swap-click path was exercised
 
 
 def test_chunking_invariance(boosted, monkeypatch):
+    # the shipped CHUNK_TRIALS splits n too; 137 and 7_919 do not divide it
     blobs = []
-    for chunk in (137, 1000, 1_000_000):
+    for chunk in (137, 1000, 7_919, protocol.CHUNK_TRIALS, 1_000_000):
         monkeypatch.setattr(protocol, "CHUNK_TRIALS", chunk)
-        blobs.append(json.dumps(run_batch(boosted, 10_000, seed=3).as_dict(),
+        blobs.append(json.dumps(run_batch(boosted, 40_000, seed=3).as_dict(),
                                 sort_keys=True))
-    assert blobs[0] == blobs[1] == blobs[2]
+    assert all(blob == blobs[0] for blob in blobs)
+
+
+P_EDGES = (0.0, 5e-324, 0.5, math.nextafter(0.5, 0.0), 1.0 - 2.0 ** -53, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("p", P_EDGES)
+def test_raw_word_threshold_matches_doubles(p):
+    # u < p decided on the raw word must agree with the double
+    # Generator.random() makes of it, (w >> 11) * 2**-53, at the boundaries
+    ks = {1, 2, 2 ** 52, 2 ** 53 - 1, 2 ** 53}
+    if 0.0 < p < 1.0:
+        ks.add(math.ceil(p * 2.0 ** 53))
+    words = set()
+    for k in ks:
+        words.update(((k << 11) - 1, k << 11, ((k - 1) << 11) | 0x7FF,
+                      (k << 11) + 1))
+    words = sorted(w for w in words if 0 <= w < 2 ** 64)
+    got = protocol._below(np.array(words, dtype=np.uint64), p)
+    want = [(w >> 11) * 2.0 ** -53 < p for w in words]
+    assert got.tolist() == want
+
+
+def test_raw_words_convert_like_generator():
+    raw = np.random.Philox(key=[91, 4]).random_raw(4096)
+    doubles = np.random.Generator(np.random.Philox(key=[91, 4])).random(4096)
+    assert np.array_equal(protocol._uniforms(raw), doubles)
+    for p in (0.08, 0.33788659793814435, 0.9):
+        assert np.array_equal(protocol._below(raw, p), doubles < p)
 
 
 def test_multiplexing_exact_even_at_high_chi(defaults):
