@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from dlcz_swap import analytic
-from dlcz_swap.params import experiment_defaults, with_overrides
+from dlcz_swap.params import at_t2, experiment_defaults
 
 params = experiment_defaults()
 corr = analytic.correlation_pair(params)
@@ -47,17 +47,13 @@ print()
 # independent of the p_c normalization.
 
 
-def at_t2(t2):
-    return with_overrides(params, t1_us=t2 - params.delta_t_us, t2_us=t2)
-
-
 print("concurrence sign vs verification readout time (2us readout spacing)")
 print(f"  {'t2 [us]':>8} {'V - sqrt(h)':>12} {'mean g':>8}")
 for t2 in range(2, 72, 10):
-    c = analytic.correlation_pair(at_t2(t2))
+    c = analytic.correlation_pair(at_t2(params, t2))
     print(f"  {t2:8d} {analytic.margin(c):12.4f} {(c.g_b + c.g_ac) / 2:8.2f}")
 
 t2_star = analytic.zero_crossing_t2(params)
-c_star = analytic.correlation_pair(at_t2(t2_star))
+c_star = analytic.correlation_pair(at_t2(params, t2_star))
 print(f"\nzero crossing at t2 = {t2_star:.2f} us, "
       f"where the mean correlation is {(c_star.g_b + c_star.g_ac) / 2:.2f}")

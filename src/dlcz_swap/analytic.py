@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .params import ExperimentParams, with_overrides
+from .params import ExperimentParams, at_t2
 
 __all__ = [
     "CorrelationPair",
@@ -299,8 +299,7 @@ def zero_crossing_t2(params: ExperimentParams) -> float:
     the root is bracketed on [delta_t, 120] us and solved to 1e-10 us.
     """
     def fun(t2):
-        point = with_overrides(params, t1_us=t2 - params.delta_t_us, t2_us=t2)
-        return margin(correlation_pair(point))
+        return margin(correlation_pair(at_t2(params, t2)))
 
     return _bisect(fun, params.delta_t_us, 120.0, xtol=1e-10)
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import analytic, fock, protocol
 from ._version import __version__
 from .analytic import ClampedVisibilityWarning, CorrelationPair
-from .params import ParamError, experiment_defaults, load_params, with_overrides
+from .params import ParamError, at_t2, experiment_defaults, load_params, with_overrides
 from .series import CurveSeries, write_csv, write_json
 
 __all__ = ["main", "build_parser", "FIGURE_IDS", "CHECKS", "cmd_figures",
@@ -85,10 +85,6 @@ def _meta(params, **extra) -> dict:
     return md
 
 
-def _t2_point(params, t2: float):
-    return with_overrides(params, t1_us=t2 - params.delta_t_us, t2_us=t2)
-
-
 # ---------------------------------------------------------------- figures
 
 def _fig1s(params, args):
@@ -117,7 +113,7 @@ def _t2_curve(params, name: str, column: str, form: str, value):
         # behavior, not something to warn about once per grid point
         warnings.simplefilter("ignore", ClampedVisibilityWarning)
         for t2 in np.arange(params.delta_t_us, 62.0 + 1e-9, 1.0):
-            corr = analytic.correlation_pair(_t2_point(params, t2))
+            corr = analytic.correlation_pair(at_t2(params, t2))
             rows.append((t2, value(corr, form), 0.0))
     return CurveSeries(name, ("t2_us", column, "sigma"), tuple(rows),
                        _meta(params, source="analytic", form=form))
@@ -141,7 +137,7 @@ def _fig3(params, args):
                         name="concurrence_mc")
     eng_rows = []
     for t2 in t2_mc:
-        report = fock.swap_pipeline(_t2_point(params, t2))
+        report = fock.swap_pipeline(at_t2(params, t2))
         eng_rows.append((float(t2), report.concurrence_estimator, 0.0))
     engine = CurveSeries("concurrence_engine", ("t2_us", "concurrence", "sigma"),
                          tuple(eng_rows), _meta(params, source="fock-engine"))
@@ -458,9 +454,9 @@ def _check_zero_crossing():
     # concurrence's for any positive normalization
     params = experiment_defaults()
     t2_star = analytic.zero_crossing_t2(params)
-    corr = analytic.correlation_pair(_t2_point(params, t2_star))
+    corr = analytic.correlation_pair(at_t2(params, t2_star))
     mean_g = 0.5 * (corr.g_b + corr.g_ac)
-    m32 = analytic.margin(analytic.correlation_pair(_t2_point(params, 32.0)))
+    m32 = analytic.margin(analytic.correlation_pair(at_t2(params, 32.0)))
     return (29.0 <= mean_g <= 31.0 and m32 > 0.0,
             f"sign change at t2={t2_star:.2f}us, mean g={mean_g:.2f} "
             f"(want [29, 31]); margin(t2=32us)={m32:+.4f}")

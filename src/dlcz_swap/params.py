@@ -17,6 +17,7 @@ from typing import Mapping
 __all__ = [
     "ExperimentParams",
     "ParamError",
+    "at_t2",
     "experiment_defaults",
     "load_params",
     "parse_config",
@@ -143,6 +144,11 @@ def with_overrides(params: ExperimentParams, **changes) -> ExperimentParams:
             raise ParamError(f"unknown parameter {k!r}")
         prov[k] = "override"
     return dataclasses.replace(params, provenance=prov, **changes)
+
+
+def at_t2(params: ExperimentParams, t2_us: float) -> ExperimentParams:
+    """The storage point t2 at the readout spacing of params: t1 = t2 - delta_t."""
+    return with_overrides(params, t1_us=t2_us - params.delta_t_us, t2_us=t2_us)
 
 
 def _parse_value(key: str, raw: str, lineno: int):

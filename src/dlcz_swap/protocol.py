@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analytic, fock
-from .params import ExperimentParams, ParamError, with_overrides
+from .params import ExperimentParams, ParamError, at_t2, with_overrides
 from .series import CurveSeries
 
 __all__ = [
@@ -73,7 +73,7 @@ def _herald_ticks(m_modes: int) -> int:
 
 def _uniform_block(seed: int, stream: int, first_tick: int, n_ticks: int) -> np.ndarray:
     """Doubles for ticks [first_tick, first_tick + n_ticks) of one stream."""
-    bg = np.random.Philox(key=[seed, stream])
+    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     if first_tick:
         bg.advance(first_tick)
     return np.random.Generator(bg).random(n_ticks * _WORDS_PER_TICK)
@@ -422,8 +422,9 @@ def run_batch(params: ExperimentParams, n_trials: int,
 
     # Both streams start at trial 0 and are read in trial order, so each
     # chunk's draws are the tick-aligned slices trial_stream takes.
-    herald_gen = np.random.Philox(key=[seed, stream_offset])
-    interference_gen = np.random.Philox(key=[seed, stream_offset + 1])
+    herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
+    interference_gen = np.random.Philox(
+        key=np.array([seed, stream_offset + 1], dtype=np.uint64))
     for lo in range(0, n_trials, CHUNK_TRIALS):
         count = min(CHUNK_TRIALS, n_trials - lo)
         hits = _below(herald_gen.random_raw(count * words).reshape(count, words), p1)
@@ -602,7 +603,7 @@ def _point_params(params: ExperimentParams, axis: str, value: float) -> Experime
         dt = params.delta_t_us
         if value < dt:
             raise ParamError(f"t2={value} leaves t1 negative at fixed spacing {dt}")
-        return with_overrides(params, t1_us=value - dt, t2_us=value)
+        return at_t2(params, value)
     if axis == "m":
         iv = int(value)
         if iv != value or iv < 1:

@@ -461,6 +461,18 @@ def test_operator_caches_bounded(defaults):
         assert cache.cache_info().currsize <= fock.OPERATOR_CACHE_SIZE
 
 
+def test_heralded_pipeline_builds_no_register(defaults, monkeypatch):
+    # the heralded link is a closed form: the pipeline must not fall back to
+    # evolving a register through the staged primitives
+    def staged(*args, **kwargs):
+        raise AssertionError("staged register operation in the swap pipeline")
+
+    for name in ("vacuum", "apply_pair_source", "measure_click", "partial_trace"):
+        monkeypatch.setattr(fock, name, staged)
+    swap_pipeline(defaults)
+    swap_pipeline(defaults, n_max=3)
+
+
 # -- staged Schroedinger oracle ----------------------------------------------
 #
 # The swap and verification stages evolved as density matrices with the
@@ -484,6 +496,27 @@ def _oracle_link(params, spin1, spin2, n_max):
     state = apply_beam_splitter(state, "write_1", "write_2")
     click, _ = measure_click(state, "write_1", params.eta)
     return partial_trace(click.state, (spin1, spin2))
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_link_matches_staged_oracle(defaults, boosted, n_max):
+    for params in (defaults, boosted, with_overrides(defaults, chi=0.3, eta=0.9)):
+        got = fock._link_state(params, n_max, "heralded", 1, fock.DEFAULT_MAX_ENTRIES)
+        want = _oracle_link(params, "mem_a", "mem_b1", n_max).rho
+        assert np.abs(got - want).max() <= ORACLE_TOL
+
+
+def test_link_matches_staged_oracle_at_small_chi(defaults):
+    # the oracle's pair source completes its column to a unitary by a
+    # Householder reflection built from e0 - psi, whose vacuum entry
+    # 1 - 1/sqrt(1 + chi + ...) cancels to O(chi) and loses digits there
+    # (4-7e-11 at chi = 1e-6); the closed form has no such cancellation, so
+    # this bound measures the oracle's error, not the engine's
+    params = with_overrides(defaults, chi=1e-6)
+    for n_max in (1, 2, 3, 4):
+        got = fock._link_state(params, n_max, "heralded", 1, fock.DEFAULT_MAX_ENTRIES)
+        want = _oracle_link(params, "mem_a", "mem_b1", n_max).rho
+        assert np.abs(got - want).max() <= 1e-9
 
 
 def _oracle_spins(params, conditioning, bell_sign, n_max):

@@ -377,3 +377,17 @@ def test_seed_changes_outcomes(boosted):
     a = run_batch(boosted, 50_000, seed=0)
     b = run_batch(boosted, 50_000, seed=1)
     assert a.n_es != b.n_es  # overwhelmingly likely for distinct streams
+
+
+def test_seeds_above_2_63_stay_distinct(boosted):
+    # a plain-list Philox key passes such seeds through float64, so 2**63 + 1
+    # and 2**63 + 1001 shared one key and 2**64 - 1 replayed seed 0
+    def outcomes(seed):
+        out = run_batch(boosted, 20_000, seed=seed).as_dict()
+        del out["seed"]
+        return out
+
+    assert outcomes(2 ** 63 + 1) != outcomes(2 ** 63 + 1001)
+    assert outcomes(2 ** 64 - 1) != outcomes(0)
+    for stream in (trial_stream(2 ** 63 + 1, 0, 3), trial_stream(2 ** 64 - 1, 0, 3)):
+        assert not np.array_equal(stream.herald, trial_stream(0, 0, 3).herald)
