@@ -11,9 +11,10 @@ picture).  The swap click becomes an operator on (mem_b1, mem_b2)
 contracted directly with the two link states, and the verification clicks
 become operators on (mem_a, mem_c) whose dependence on the mixer phase
 theta is a diagonal phase, so nothing larger than a few d^2 x d^2 matrices
-(d = n_max + 1) is built.  Distinct multiplexed mode indices never
-interfere, so one quadruple is the whole quantum problem and multiplexing
-is combinatorial (protocol.py).
+(d = n_max + 1) is built.  Retrieval enters through its exact binomial
+amplitudes, so a new storage time needs no matrix exponential.  Distinct
+multiplexed mode indices never interfere, so one quadruple is the whole
+quantum problem and multiplexing is combinatorial (protocol.py).
 
 Operations are functional: each returns a new FockState.
 """
@@ -62,9 +63,9 @@ __all__ = [
 DEFAULT_N_MAX = 2
 DEFAULT_MAX_ENTRIES = 1_000_000
 
-# Entries kept by each operator cache.  The caches are keyed on float angles,
-# so a sweep over t1, t2 or chi adds an entry per point; a pipeline point
-# needs a handful of operators.
+# Entries kept by each operator cache.  The unitary caches are keyed on float
+# angles and chi, so a toolkit sweep adds an entry per point; the pipeline
+# needs only the fixed 50/50 mixers and per-d maps.
 OPERATOR_CACHE_SIZE = 64
 
 # Swap-station beam-splitter phase.  Constant interferometer offsets are
@@ -378,13 +379,11 @@ def measure_click(state: FockState, optical: str, eta: float,
     no_click, detected = _click_kraus(reg.dim_per_mode, eta)
     nc_state = _apply_kraus(state, [no_click], (optical,))
     p_nc0 = float(np.real(np.trace(nc_state.rho)))
-    total = float(np.real(np.trace(state.rho)))
-    if detected:
-        c_rho = _apply_kraus(state, detected, (optical,)).rho
-    else:
-        c_rho = np.zeros_like(state.rho)
+    c_rho = _apply_kraus(state, detected, (optical,)).rho  # n_max >= 1: never empty
     c_rho = (1.0 - p_extra) * c_rho + p_extra * state.rho
-    p_c = (1.0 - p_extra) * (total - p_nc0) + p_extra * total
+    # the trace of the click branch itself, not the complement of the
+    # no-click one: a rare click would cancel to a few digits there
+    p_c = float(np.real(np.trace(c_rho)))
     p_nc = (1.0 - p_extra) * p_nc0
     click = ClickOutcome(
         clicked=True, probability=p_c,
@@ -539,13 +538,19 @@ def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
 
 def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     """Adjoint of retrieving one spin (then traced) into its vacuum readout:
-    s[(n, k), (o, q)] = sum_a conj(w[a, o, n]) w[a, q, k], w[a, o, n] =
-    <a, o| U |n, 0> for the U of apply_retrieval.  The forward map is s^dag."""
+    s[(n, k), (o, q)] = sum_a w[a, o, n] w[a, q, k] with the binomial
+    amplitudes w[a, o, n] = <a, o| U |n, 0> = delta(a + o, n) sqrt(C(n, o))
+    (1 - gamma)^(a/2) gamma^(o/2) of the U of apply_retrieval (Campos, Saleh
+    & Teich, PRA 40, 1371 (1989)).  U conserves the photon number and a
+    vacuum readout keeps it at n <= n_max, where the truncated U is exact.
+    s is real; the forward map is s^T."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma_t must be in [0, 1]")
-    u = _beam_splitter_unitary(d, 0.0, math.asin(math.sqrt(gamma)))
-    w = u[:, ::d].reshape(d, d, d)
-    return np.einsum("aon,aqk->nkoq", w.conj(), w).reshape(d * d, d * d)
+    w = np.zeros((d, d, d))
+    for n in range(d):
+        for o in range(n + 1):
+            w[n - o, o, n] = math.sqrt(math.comb(n, o) * (1.0 - gamma) ** (n - o) * gamma ** o)
+    return np.einsum("aon,aqk->nkoq", w, w).reshape(d * d, d * d)
 
 
 def _on_both_modes(x: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -565,9 +570,10 @@ def _readout_lowering(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pull_back(effects: np.ndarray, rho_spins: np.ndarray, d: int,
-               gamma: float, q: float, mixer: np.ndarray | None) -> np.ndarray:
+               gamma: float, q: float) -> np.ndarray:
     """Pull a (k, d^2, d^2) stack of readout effects E_j back onto the two
     spin modes of rho_spins: M_j with Tr[M_j rho_spins] = Tr[E_j rho_readouts].
+    A mixer U in front of the clicks is the caller's: E_j = U^dag E U.
 
     inject_noise renormalizes the photon-added branch, so it is not a fixed
     linear map.  Its two norms are computed first from rho_spins (only the
@@ -576,12 +582,10 @@ def _pull_back(effects: np.ndarray, rho_spins: np.ndarray, d: int,
     a X a^dag acts on the effects.
     """
     s = _retrieval_adjoint(d, gamma)
-    if mixer is not None:
-        effects = mixer.conj().T @ effects @ mixer
     if q > 0.0:
         if not q <= 1.0:
             raise ValueError("p_noise must be in [0, 1]")
-        sigma = _on_both_modes(rho_spins[None], s.conj().T)[0]
+        sigma = _on_both_modes(rho_spins[None], s.T)[0]
         for low in _readout_lowering(d):
             norm = float(np.real(np.trace(low @ low.conj().T @ sigma)))
             if norm <= 0.0:
@@ -613,14 +617,14 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     q1 = in_mode_noise(params, params.t1_us, conditioning)
     extra1 = detector_extra(params, params.t1_us, params.z_b)
     click = np.repeat(_click_effects(d, params.eta, extra1)[True], d)
-    effects = np.stack([np.diag(click), np.eye(d * d)])
     mixer = _beam_splitter_unitary(d, ES_PHASE, math.pi / 4)
+    effects = np.stack([mixer.conj().T @ (click[:, None] * mixer), np.eye(d * d)])
 
     # reduced state of (mem_b1, mem_b2): the inner mode of each link
     t = link.reshape(d, d, d, d)
     inner = np.multiply.outer(np.einsum("abac->bc", t), np.einsum("abcb->ac", t))
     inner = inner.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    m_click, m_all = _pull_back(effects, inner, d, gamma1, q1, mixer)
+    m_click, m_all = _pull_back(effects, inner, d, gamma1, q1)
 
     def outer(m):
         # sum over (b1, b2, b1', b2') of M[b1 b2, b1' b2'] rho_L[a b1', a' b1]
@@ -638,13 +642,23 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
 _JOINT_KEYS = ((True, True), (True, False), (False, True), (False, False))
 
 
-def _readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
-                    p_extra: float, thetas: Sequence[float] | None) -> list[dict]:
-    """Joint click distributions of the two readouts of rho_ac.
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _phase_orders(d: int) -> np.ndarray:
+    """0/1 map from the d^4 entries [l, k] of a (mem_a, mem_c) operator to
+    the order n_c(l) - n_c(k) + n_max of their mixer phase, one of 2 n_max + 1."""
+    n_c = np.arange(d * d) % d
+    shift = (n_c[:, None] - n_c[None, :]).ravel() + d - 1
+    return (shift[:, None] == np.arange(2 * d - 1)).astype(float)
 
-    thetas=None: direct per-channel detection, one distribution.  Otherwise
-    the readouts meet on the verification mixer with phase theta.  The four
-    joint effects are pulled back at theta = 0 only: the mixer phase is
+
+def _readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
+                    p_extra: float, thetas: Sequence[float]) -> tuple[list[dict], dict]:
+    """Joint click distributions of the two readouts of rho_ac: behind the
+    verification mixer at each theta (fringe), and with direct per-channel
+    detection (counting).  The two arms share everything up to the clicks,
+    so their eight effects are pulled back in one stack.
+
+    The fringe effects are pulled back at theta = 0 only: the mixer phase is
     exp(i theta n) on read_c, which commutes through the noise and the
     retrieval to exp(i theta n_c) on mem_c, so
     E_theta[l, k] = E_0[l, k] exp(i theta (n_c(l) - n_c(k))) and each
@@ -653,20 +667,20 @@ def _readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
     d = rho_ac.register.dim_per_mode
     n_max = d - 1
     port = _click_effects(d, eta, p_extra)
-    diags = np.stack([np.outer(port[x], port[y]).ravel() for x, y in _JOINT_KEYS])
-    effects = diags[:, :, None] * np.eye(d * d)
-    mixer = None if thetas is None else _beam_splitter_unitary(d, 0.0, math.pi / 4)
-    pulled = _pull_back(effects, rho_ac.rho, d, gamma, q, mixer)
-    # coeffs[j, k]: weight of exp(i (k - n_max) theta) in outcome j
-    n_c = np.arange(d * d) % d
-    shift = (n_c[:, None] - n_c[None, :]) + n_max
-    coeffs = np.zeros((len(_JOINT_KEYS), 2 * n_max + 1), dtype=np.complex128)
-    outcome = np.arange(len(_JOINT_KEYS))[:, None, None]
-    np.add.at(coeffs, (outcome, shift), pulled * rho_ac.rho.T)
-    thetas = (0.0,) if thetas is None else tuple(thetas)
+    ports = np.stack([port[True], port[False]])
+    # diags[j]: outer product of the (port 1, port 2) effects of _JOINT_KEYS[j]
+    diags = (ports[:, None, :, None] * ports[None, :, None, :]).reshape(4, d * d)
+    mixer = _beam_splitter_unitary(d, 0.0, math.pi / 4)
+    effects = np.concatenate([mixer.conj().T @ (diags[:, :, None] * mixer),
+                              diags[:, :, None] * np.eye(d * d)])
+    pulled = _pull_back(effects, rho_ac.rho, d, gamma, q)
+    # coeffs[j, k]: weight of exp(i (k - n_max) theta) in effect j
+    coeffs = (pulled * rho_ac.rho.T).reshape(len(effects), -1) @ _phase_orders(d)
     phases = np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1)))
-    probs = np.real(phases @ coeffs.T)
-    return [dict(zip(_JOINT_KEYS, map(float, row))) for row in probs]
+    fringe = np.real(phases @ coeffs[:4].T)
+    counting = np.real(coeffs[4:].sum(axis=1))
+    return ([dict(zip(_JOINT_KEYS, map(float, row))) for row in fringe],
+            dict(zip(_JOINT_KEYS, map(float, counting))))
 
 
 def joint_clicks(state: FockState, mode1: str, mode2: str, eta: float,
@@ -688,7 +702,7 @@ def joint_clicks(state: FockState, mode1: str, mode2: str, eta: float,
 def verification_fringe(rho_ac: FockState, gamma: float, q: float, eta: float,
                         thetas: Sequence[float], p_extra: float = 0.0) -> list[dict]:
     """verification_joint at each theta, from one pull-back of the effects."""
-    return _readout_joints(rho_ac, gamma, q, eta, p_extra, thetas)
+    return _readout_joints(rho_ac, gamma, q, eta, p_extra, thetas)[0]
 
 
 def verification_joint(rho_ac: FockState, gamma: float, q: float, eta: float,
@@ -699,13 +713,13 @@ def verification_joint(rho_ac: FockState, gamma: float, q: float, eta: float,
     each readout, the readouts meet on a 50/50 mixer with phase theta and
     each output port has a click detector (eta, p_extra).
     """
-    return _readout_joints(rho_ac, gamma, q, eta, p_extra, (theta,))[0]
+    return _readout_joints(rho_ac, gamma, q, eta, p_extra, (theta,))[0][0]
 
 
 def counting_joint(rho_ac: FockState, gamma: float, q: float, eta: float,
                    p_extra: float = 0.0) -> dict:
     """Joint (a, c) click distribution with direct per-channel detection."""
-    return _readout_joints(rho_ac, gamma, q, eta, p_extra, None)[0]
+    return _readout_joints(rho_ac, gamma, q, eta, p_extra, ())[1]
 
 
 @dataclass(frozen=True)
@@ -756,8 +770,8 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
     """Full quantum simulation of one heralded swap-and-verify attempt.
 
     One swap_stage gives p_es1 and rho_ac; the verification effects are then
-    pulled back onto rho_ac once for the detected fringe and once for the
-    ideal (spin-level) fringe, and evaluated at every theta.
+    pulled back onto rho_ac once for the detected arms (fringe and counting)
+    and once for the ideal (spin-level) fringe, and evaluated at every theta.
     """
     if thetas is None:
         thetas = default_theta_grid()
@@ -770,7 +784,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
     eta = params.eta
 
     p_coinc, p_joint, p_ev1, ev_joint = {}, {}, {}, {}
-    fringe = verification_fringe(rho_ac, gamma2, q2, eta, thetas, p_extra=extra2)
+    fringe, counting = _readout_joints(rho_ac, gamma2, q2, eta, extra2, thetas)
     for theta, joint in zip(thetas, fringe):
         pev1 = joint[(True, True)] + joint[(True, False)]
         p_ev1[theta] = pev1
@@ -778,11 +792,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
         p_joint[theta] = p_es1 * pev1
         p_coinc[theta] = 4.0 * p_es1 * pev1
 
-    counting = counting_joint(rho_ac, gamma2, q2, eta, p_extra=extra2)
-    p11 = counting[(True, True)]
-    p10 = counting[(True, False)]
-    p01 = counting[(False, True)]
-    p00 = counting[(False, False)]
+    p11, p10, p01, p00 = (counting[key] for key in _JOINT_KEYS)
     h_det = p11 / (p10 * p01) if p10 > 0 and p01 > 0 else math.inf
 
     values = np.array([p_coinc[t] for t in thetas])

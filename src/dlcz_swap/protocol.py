@@ -193,9 +193,8 @@ def _tables_cached(params: ExperimentParams, thetas: tuple, n_max: int,
     gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
     q2 = fock.in_mode_noise(params, params.t2_us, conditioning)
     extra2 = fock.detector_extra(params, params.t2_us, params.z_ac)
-    rows = [_joint_cdf(joint) for joint in
-            fock.verification_fringe(rho_ac, gamma2, q2, params.eta, thetas, p_extra=extra2)]
-    counting = fock.counting_joint(rho_ac, gamma2, q2, params.eta, p_extra=extra2)
+    fringe, counting = fock._readout_joints(rho_ac, gamma2, q2, params.eta, extra2, thetas)
+    rows = [_joint_cdf(joint) for joint in fringe]
     return ConditionalTables(
         p_swap1=p_click,
         thetas=thetas,

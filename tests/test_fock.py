@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dlcz_swap import fock
+from dlcz_swap import fock, protocol
 from dlcz_swap.fock import (
     DimensionError,
     FockState,
@@ -33,7 +33,7 @@ from dlcz_swap.fock import (
     verification_joint,
     wootters_concurrence,
 )
-from dlcz_swap.params import with_overrides
+from dlcz_swap.params import at_t2, with_overrides
 
 # Frozen engine outputs at the default parameter point (n_max = 2, 16-point
 # fringe grid).  Regression anchors: a change here is a change of the model.
@@ -449,16 +449,51 @@ def test_entry_cap_applies_to_herald_register(defaults, conditioning):
     swap_stage(defaults, n_max=5, conditioning=conditioning, max_entries=6 ** 8)
 
 
-def test_operator_caches_bounded(defaults):
-    caches = (fock._beam_splitter_unitary, fock._pair_source_unitary)
+def test_operator_caches_bounded():
+    caches = (fock._beam_splitter_unitary, fock._pair_source_unitary,
+              fock._readout_lowering, fock._phase_orders)
     for cache in caches:
         cache.cache_clear()
-    for t1 in np.linspace(0.0, 1.9, 200):
-        swap_stage(with_overrides(defaults, t1_us=float(t1)))
-    # one retrieval angle per t1 point, more than the cache keeps
+    state = vacuum(ModeRegister(("spin", "light")))
+    for gamma in np.linspace(0.0, 1.0, 200):
+        apply_retrieval(state, "spin", "light", float(gamma))
+    # one beam-splitter angle per gamma, more than the cache keeps
     assert fock._beam_splitter_unitary.cache_info().misses > fock.OPERATOR_CACHE_SIZE
     for cache in caches:
         assert cache.cache_info().currsize <= fock.OPERATOR_CACHE_SIZE
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_retrieval_adjoint_matches_expm(d):
+    # the binomial map against the truncated beam-splitter exponential it
+    # replaced: exact on the n <= n_max block a vacuum readout starts in
+    for gamma in np.linspace(0.0, 1.0, 41):
+        u = fock._beam_splitter_unitary(d, 0.0, math.asin(math.sqrt(gamma)))
+        w = u[:, ::d].reshape(d, d, d)
+        want = np.einsum("aon,aqk->nkoq", w.conj(), w).reshape(d * d, d * d)
+        assert np.abs(fock._retrieval_adjoint(d, float(gamma)) - want).max() <= 1e-14
+
+
+def test_new_storage_times_need_no_exponential(defaults, monkeypatch):
+    # a new t2 needs the fixed 50/50 mixers only, and each detected readout
+    # is one pull-back: swap, detected arms and ideal fringe per pipeline,
+    # swap and detected arms per table build
+    angles, pulls = set(), []
+    mixer, pull_back = fock._beam_splitter_unitary, fock._pull_back
+    monkeypatch.setattr(fock, "_beam_splitter_unitary",
+                        lambda d, phase, angle: angles.add(angle) or mixer(d, phase, angle))
+    monkeypatch.setattr(fock, "_pull_back",
+                        lambda *args: pulls.append(1) or pull_back(*args))
+    protocol._tables_cached.cache_clear()
+    for t2 in np.linspace(3.0, 47.0, 20):
+        params = at_t2(defaults, float(t2))
+        pulls.clear()
+        swap_pipeline(params)
+        assert len(pulls) == 3
+        pulls.clear()
+        protocol.conditional_tables(params, fock.default_theta_grid())
+        assert len(pulls) == 2
+    assert angles == {math.pi / 4}
 
 
 def test_heralded_pipeline_builds_no_register(defaults, monkeypatch):
@@ -507,16 +542,15 @@ def test_link_matches_staged_oracle(defaults, boosted, n_max):
 
 
 def test_link_matches_staged_oracle_at_small_chi(defaults):
-    # the oracle's pair source completes its column to a unitary by a
-    # Householder reflection built from e0 - psi, whose vacuum entry
-    # 1 - 1/sqrt(1 + chi + ...) cancels to O(chi) and loses digits there
-    # (4-7e-11 at chi = 1e-6); the closed form has no such cancellation, so
-    # this bound measures the oracle's error, not the engine's
-    params = with_overrides(defaults, chi=1e-6)
-    for n_max in (1, 2, 3, 4):
-        got = fock._link_state(params, n_max, "heralded", 1, fock.DEFAULT_MAX_ENTRIES)
-        want = _oracle_link(params, "mem_a", "mem_b1", n_max).rho
-        assert np.abs(got - want).max() <= 1e-9
+    # the herald click has probability O(chi): measure_click must take it as
+    # the trace of the click branch, since the complement of the no-click
+    # probability keeps only the digits that survive 1 - (1 - O(chi))
+    for chi in (1e-6, 1e-9):
+        params = with_overrides(defaults, chi=chi)
+        for n_max in (1, 2, 3, 4):
+            got = fock._link_state(params, n_max, "heralded", 1, fock.DEFAULT_MAX_ENTRIES)
+            want = _oracle_link(params, "mem_a", "mem_b1", n_max).rho
+            assert np.abs(got - want).max() <= ORACLE_TOL
 
 
 def _oracle_spins(params, conditioning, bell_sign, n_max):
