@@ -1,9 +1,9 @@
 """The truncated-Fock engine, bottom up.
 
-Builds the quantum layer in four moves: two-photon interference on a
-balanced splitter, the two-mode squeezed pair source, the heralded
-four-memory state, and finally the full swap-and-verify pipeline whose
-fringe is compared against the closed-form model.
+Builds the quantum layer in three moves: the heralded four-memory state,
+two-photon interference at the swap station, and finally the full
+swap-and-verify pipeline whose fringe is compared against the closed-form
+model.
 """
 
 import math
@@ -11,43 +11,37 @@ import math
 import numpy as np
 
 from dlcz_swap import analytic, fock
-from dlcz_swap.params import experiment_defaults
+from dlcz_swap.params import experiment_defaults, with_overrides
 
-# --- 1. two photons meeting on a balanced splitter -------------------------
-
-reg = fock.ModeRegister(("u", "v"), n_max=2)
-d = reg.dim_per_mode
-psi = np.zeros(reg.dim, dtype=np.complex128)
-psi[1 * d + 1] = 1.0
-one_one = fock.FockState(reg, np.outer(psi, psi.conj()))
-out = fock.apply_beam_splitter(one_one, "u", "v")
-
-print("two-photon interference on a 50/50 splitter, |1,1> in:")
-print(f"  P(one photon in each output) = {out.rho[1 * d + 1, 1 * d + 1].real:.2e}")
-print(f"  P(both in the same output)   = {out.occupation('u')[2].real + out.occupation('v')[2].real:.2f}")
-print()
-
-# --- 2. the spin-wave / photon pair source ---------------------------------
-# Photon number of the optical mode is perfectly correlated with the spin
-# excitation; weights fall geometrically with chi.
-
-src = fock.ModeRegister(("spin", "light"), n_max=2)
-state = fock.apply_pair_source(fock.vacuum(src), "spin", "light", chi=0.05)
-print("pair source at chi = 0.05, photon-number weights:")
-print(f"  spin  {np.round(state.occupation('spin'), 6)}")
-print(f"  light {np.round(state.occupation('light'), 6)}")
-print()
-
-# --- 3. heralded four-memory state -----------------------------------------
+# --- 1. heralded four-memory state -----------------------------------------
+# Each link shares one spin excitation between its two memories; the
+# double-excitation weight grows with chi.
 
 params = experiment_defaults()
-spins = fock.heralded_spin_state(params)
-print("post-herald spin occupations (two entangled memory pairs):")
-for label in spins.register.labels:
-    print(f"  {label:3} -> {np.round(spins.occupation(label), 5)}")
+for chi in (params.chi, 0.05):
+    spins = fock.heralded_spin_state(with_overrides(params, chi=chi))
+    print(f"post-herald spin occupations at chi = {chi}:")
+    for label in spins.register.labels:
+        print(f"  {label:6} -> {np.round(spins.occupation(label), 5)}")
+    print()
+
+# --- 2. two photons meeting at the swap station ----------------------------
+# Noise-free limit, one ideal excitation per link.  When both inner memories
+# are excited, their photons bunch on the 50/50 mixer and the swap click
+# leaves both outer memories empty: 1/3 of the swapped state, against 3/7
+# if the photons could be told apart.
+
+ideal = with_overrides(params, chi=0.0, z_b=0.0, z_ac=0.0, xi_se=0.0,
+                       gamma0=1.0, eta=1.0, t1_us=0.0, t2_us=1e-9, tau0_us=1e9)
+clean = fock.swap_pipeline(ideal, thetas=(0.0, math.pi), conditioning="ideal")
+print("two-photon interference at the swap station (noise-free):")
+print(f"  swap click probability        = {clean.p_es1:.4f}  (3/8)")
+print(f"  P(outer memories both empty)  = {clean.p_ij_spin['p00']:.4f}  (1/3)")
+print(f"  P(outer memories both full)   = {clean.p_ij_spin['p11']:.1e}")
+print(f"  fringe visibility             = {clean.visibility_fringe:.4f}")
 print()
 
-# --- 4. the full swap-and-verify pipeline ----------------------------------
+# --- 3. the full swap-and-verify pipeline ----------------------------------
 # One swap click projects the two outer memories; the verification fringe
 # of their retrieved fields is read against the closed-form curve.
 

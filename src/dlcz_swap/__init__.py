@@ -3,8 +3,10 @@
 Three mutually validating layers: closed-form expressions for retrieval,
 cross-correlation, visibility, suppression and concurrence (analytic);
 a truncated number-state engine that builds the heralded four-memory state
-and measures it (fock); and a seeded event-level Monte-Carlo of the whole
-multiplexed protocol (protocol).  The cli module exposes them as commands.
+in closed form and pulls every later click back onto the memories (fock);
+and a seeded Monte-Carlo of the whole multiplexed protocol, batched over
+counter-based random streams (protocol).  The cli module exposes them as
+commands.
 """
 
 from ._version import __version__
@@ -39,35 +41,23 @@ from .analytic import (
     zero_crossing_t2,
 )
 from .fock import (
-    ClickOutcome,
     DimensionError,
     FockState,
     ModeRegister,
     SwapReport,
-    apply_beam_splitter,
-    apply_pair_source,
-    apply_retrieval,
-    counting_joint,
     default_theta_grid,
     heralded_spin_state,
-    joint_clicks,
-    measure_click,
-    partial_trace,
+    readout_joints,
     swap_pipeline,
     swap_stage,
-    verification_joint,
     wootters_concurrence,
 )
 from .protocol import (
     ConditionalTables,
     SwapStatistics,
-    TrialOutcome,
-    TrialStream,
     conditional_tables,
     run_batch,
-    run_trial,
     sweep,
-    trial_stream,
 )
 from .series import CurveSeries, read_csv, read_json, write_csv, write_json
 
@@ -99,33 +89,21 @@ __all__ = [
     "threshold_g",
     "visibility",
     "zero_crossing_t2",
-    "ClickOutcome",
     "DimensionError",
     "FockState",
     "ModeRegister",
     "SwapReport",
-    "apply_beam_splitter",
-    "apply_pair_source",
-    "apply_retrieval",
-    "counting_joint",
     "default_theta_grid",
     "heralded_spin_state",
-    "joint_clicks",
-    "measure_click",
-    "partial_trace",
+    "readout_joints",
     "swap_pipeline",
     "swap_stage",
-    "verification_joint",
     "wootters_concurrence",
     "ConditionalTables",
     "SwapStatistics",
-    "TrialOutcome",
-    "TrialStream",
     "conditional_tables",
     "run_batch",
-    "run_trial",
     "sweep",
-    "trial_stream",
     "CurveSeries",
     "read_csv",
     "read_json",

@@ -405,12 +405,11 @@ def _check_engine_visibility():
 
 
 def _check_two_photon_interference():
-    reg = fock.ModeRegister(("left", "right"), n_max=2)
-    rho = np.zeros((9, 9), dtype=complex)
-    rho[4, 4] = 1.0  # one photon in each input
-    state = fock.apply_beam_splitter(fock.FockState(reg, rho), "left", "right")
-    p11 = float(np.real(state.rho[4, 4]))
-    joint = fock.joint_clicks(state, "left", "right", eta=1.0)[(True, True)]
+    # one photon in each input of the engine's 50/50 mixer, n_max = 2
+    out = np.abs(fock._mixer(3)[:, 4]) ** 2  # photon-number weights of U|1,1>
+    p11 = float(out[4])
+    click = fock._click_effects(3, 1.0, 0.0)[True]  # perfect detector
+    joint = float(np.kron(click, click) @ out)
     return (p11 <= 1e-12 and joint <= 1e-12,
             f"P(1,1 after 50/50)={p11:.2e} perfect-detector coincidence={joint:.2e}")
 

@@ -3,20 +3,19 @@
 Four spin modes (two memory pairs) and their readout modes are modelled
 exactly on a photon-number-truncated Hilbert space: pair sources, beam
 splitters, retrieval as a partial spin-to-light transfer, incoherent channel
-noise, and non-number-resolving click detection.  The elementary operations
-act on density matrices (FockState).  The swap pipeline attaches no optical
-mode to a state: the heralded link is a closed form (one Hadamard product),
-and each later click effect is pulled back onto the spin modes (Heisenberg
-picture).  The swap click becomes an operator on (mem_b1, mem_b2)
+noise, and non-number-resolving click detection.  The swap pipeline
+attaches no optical mode to a state: the heralded link is a closed form (one
+Hadamard product), and each later click effect is pulled back onto the spin
+modes (Heisenberg picture).  The swap click becomes an operator on (mem_b1, mem_b2)
 contracted directly with the two link states, and the verification clicks
 become operators on (mem_a, mem_c) whose dependence on the mixer phase
 theta is a diagonal phase, so nothing larger than a few d^2 x d^2 matrices
 (d = n_max + 1) is built.  Retrieval enters through its exact binomial
 amplitudes, so a new storage time needs no matrix exponential.  Distinct
 multiplexed mode indices never interfere, so one quadruple is the whole
-quantum problem and multiplexing is combinatorial (protocol.py).
-
-Operations are functional: each returns a new FockState.
+quantum problem and multiplexing is combinatorial (protocol.py).  The
+Schrödinger-picture reference these pull-backs are tested against lives in
+the test suite.
 """
 
 from __future__ import annotations
@@ -38,24 +37,14 @@ __all__ = [
     "DimensionError",
     "ModeRegister",
     "FockState",
-    "ClickOutcome",
     "SwapReport",
-    "vacuum",
-    "apply_pair_source",
-    "apply_beam_splitter",
-    "apply_retrieval",
-    "inject_noise",
-    "measure_click",
-    "partial_trace",
+    "JOINT_ORDER",
     "wootters_concurrence",
     "heralded_spin_state",
     "swap_stage",
     "in_mode_noise",
     "detector_extra",
-    "joint_clicks",
-    "verification_joint",
-    "verification_fringe",
-    "counting_joint",
+    "readout_joints",
     "swap_pipeline",
     "default_theta_grid",
 ]
@@ -63,15 +52,12 @@ __all__ = [
 DEFAULT_N_MAX = 2
 DEFAULT_MAX_ENTRIES = 1_000_000
 
-# Entries kept by each operator cache.  The unitary caches are keyed on float
-# angles and chi, so a toolkit sweep adds an entry per point; the pipeline
-# needs only the fixed 50/50 mixers and per-d maps.
+# Entries kept by each operator cache; the caches are keyed on the
+# per-mode dimension d alone.
 OPERATOR_CACHE_SIZE = 64
 
-# Swap-station beam-splitter phase.  Constant interferometer offsets are
-# calibrated so the heralded verification fringe peaks at theta = 0,
-# matching the closed-form (1 + cos theta)/2.
-ES_PHASE = 0.0
+# Fixed order of the joint (detector 1, detector 2) click outcomes.
+JOINT_ORDER = ((True, True), (True, False), (False, True), (False, False))
 
 # sigma_y (x) sigma_y, the spin flip of the Wootters concurrence
 _SIGMA_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
@@ -139,9 +125,6 @@ class FockState:
     def trace(self) -> float:
         return float(np.real(np.trace(self.rho)))
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
-
     def validate(self, atol: float = 1e-10) -> None:
         """Assert unit trace, hermiticity and positivity within atol."""
         tr = np.trace(self.rho)
@@ -154,28 +137,11 @@ class FockState:
             raise ValueError(f"negative eigenvalue {eigs.min()}")
 
     def occupation(self, label: str) -> np.ndarray:
-        """Photon-number distribution of one mode (marginal)."""
-        reduced = partial_trace(self, (label,))
-        return np.real(np.diag(reduced.rho)).copy()
-
-    def _tensor(self) -> np.ndarray:
-        d, L = self.register.dim_per_mode, self.register.n_modes
-        return self.rho.reshape((d,) * (2 * L))
-
-
-@dataclass(frozen=True)
-class ClickOutcome:
-    """One branch of a click/no-click measurement."""
-
-    clicked: bool
-    probability: float
-    state: FockState | None  # None when the branch has zero probability
-
-
-def vacuum(register: ModeRegister) -> FockState:
-    rho = np.zeros((register.dim, register.dim), dtype=np.complex128)
-    rho[0, 0] = 1.0
-    return FockState(register, rho)
+        """Photon-number distribution of one mode (marginal of the diagonal)."""
+        reg = self.register
+        axis = reg.axis(label)
+        diag = np.real(np.diag(self.rho)).reshape((reg.dim_per_mode,) * reg.n_modes)
+        return diag.sum(axis=tuple(i for i in range(reg.n_modes) if i != axis))
 
 
 def _lowering(d: int) -> np.ndarray:
@@ -185,240 +151,29 @@ def _lowering(d: int) -> np.ndarray:
     return a
 
 
-def _apply_matrix(tensor: np.ndarray, m: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Contract matrix m onto the given tensor axes (joint, C-order)."""
-    total = tensor.ndim
-    axes = list(axes)
-    dim = 1
-    for a in axes:
-        dim *= tensor.shape[a]
-    rest = [a for a in range(total) if a not in axes]
-    perm = axes + rest
-    t = np.transpose(tensor, perm).reshape(dim, -1)
-    t = m @ t
-    t = t.reshape([tensor.shape[a] for a in perm])
-    return np.transpose(t, np.argsort(perm))
-
-
-def _apply_unitary(state: FockState, u: np.ndarray, labels: Sequence[str]) -> FockState:
-    reg = state.register
-    ket = [reg.axis(l) for l in labels]
-    bra = [reg.n_modes + a for a in ket]
-    t = state._tensor()
-    t = _apply_matrix(t, u, ket)
-    t = _apply_matrix(t, u.conj(), bra)
-    return FockState(reg, t.reshape(reg.dim, reg.dim))
-
-
-def _apply_kraus(state: FockState, kraus: Sequence[np.ndarray], labels: Sequence[str]) -> FockState:
-    reg = state.register
-    ket = [reg.axis(l) for l in labels]
-    bra = [reg.n_modes + a for a in ket]
-    t = state._tensor()
-    out = np.zeros_like(t)
-    for k in kraus:
-        branch = _apply_matrix(t, k, ket)
-        out += _apply_matrix(branch, k.conj(), bra)
-    return FockState(reg, out.reshape(reg.dim, reg.dim))
-
-
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _beam_splitter_unitary(d: int, phase: float, angle: float) -> np.ndarray:
-    """Two-mode mixer: |10> -> cos(angle)|10> + e^{i phase} sin(angle)|01>.
+def _mixer(d: int) -> np.ndarray:
+    """50/50 mixer on two modes: |10> -> (|10> + |01>) / sqrt(2).
 
-    The generator is anti-hermitian, so the matrix is exactly unitary on the
-    truncated space; blocks with total photon number above n_max are
-    redistributed within the truncated basis (documented truncation artifact).
+    exp(pi/4 (a (x) a^dag - a^dag (x) a)): the generator is anti-hermitian,
+    so the matrix is exactly unitary on the truncated space; blocks with
+    total photon number above n_max are redistributed within the truncated
+    basis (documented truncation artifact).
     """
     a = _lowering(d)
-    ad = a.conj().T
-    g = (np.exp(1j * phase) * np.kron(a, ad)
-         - np.exp(-1j * phase) * np.kron(ad, a))
-    return expm(angle * g)
+    return expm(math.pi / 4 * (np.kron(a, a.T) - np.kron(a.T, a)))
 
 
-def apply_beam_splitter(state: FockState, mode1: str, mode2: str,
-                        phase: float = 0.0, angle: float = math.pi / 4) -> FockState:
-    """50/50 (by default) beam splitter between two modes.
-
-    Convention: a photon entering mode1 exits as
-    (|mode1> + e^{i phase} |mode2>) / sqrt(2); mode1 plays the role of the
-    first output port.
-    """
-    u = _beam_splitter_unitary(state.register.dim_per_mode, float(phase), float(angle))
-    return _apply_unitary(state, u, (mode1, mode2))
-
-
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _pair_source_unitary(d: int, chi: float) -> np.ndarray:
-    """Unitary whose action on |00> is the truncated two-mode squeezer.
-
-    First column: amplitudes proportional to chi^{n/2} on |n,n>, renormalized
-    over n <= n_max; completed to a full unitary by a Householder reflection
-    (only the vacuum column is ever used, see apply_pair_source precondition).
-    """
-    if chi == 0.0:
-        return np.eye(d * d, dtype=np.complex128)
-    target = np.zeros(d * d, dtype=np.complex128)
-    weights = np.array([chi ** n for n in range(d)])
-    amps = np.sqrt(weights / weights.sum())
-    for n in range(d):
-        target[n * d + n] = amps[n]
-    e0 = np.zeros(d * d, dtype=np.complex128)
-    e0[0] = 1.0
-    w = e0 - target
-    norm2 = np.real(np.vdot(w, w))
-    if norm2 < 1e-30:
-        return np.eye(d * d, dtype=np.complex128)
-    return np.eye(d * d, dtype=np.complex128) - 2.0 * np.outer(w, w.conj()) / norm2
-
-
-def apply_pair_source(state: FockState, spin: str, optical: str, chi: float) -> FockState:
-    """Emit correlated spin-photon pairs into a vacuum mode pair.
-
-    Joint amplitudes c_n on |n,n> proportional to chi^{n/2} up to n_max,
-    renormalized.  Precondition: the (spin, optical) pair is in vacuum;
-    sources on disjoint pairs therefore commute.
-    """
-    if not 0.0 <= chi < 1.0:
-        raise ValueError("chi must be in [0, 1)")
-    if chi == 0.0:
-        return state
-    for label in (spin, optical):
-        occ = state.occupation(label)
-        if abs(occ[0] - 1.0) > 1e-9:
-            raise ValueError(f"pair source target mode {label!r} is not in vacuum")
-    u = _pair_source_unitary(state.register.dim_per_mode, float(chi))
-    return _apply_unitary(state, u, (spin, optical))
-
-
-def apply_retrieval(state: FockState, spin: str, optical: str, gamma_t: float) -> FockState:
-    """Transfer each spin excitation to the readout mode with probability gamma_t.
-
-    Unitary partial swap (beam-splitter form, angle asin(sqrt(gamma))): a
-    multi-excitation spin mode releases a Binomial(n, gamma) photon number;
-    the unretrieved fraction stays in the spin mode and is traced out later.
-    """
-    if not 0.0 <= gamma_t <= 1.0:
-        raise ValueError("gamma_t must be in [0, 1]")
-    angle = math.asin(math.sqrt(gamma_t))
-    u = _beam_splitter_unitary(state.register.dim_per_mode, 0.0, angle)
-    return _apply_unitary(state, u, (spin, optical))
-
-
-def inject_noise(state: FockState, optical: str, p_noise: float) -> FockState:
-    """Mix in one uncorrelated photon with probability p_noise.
-
-    rho <- (1 - p) rho + p * (photon-added rho, renormalized).  The addition
-    is truncated at n_max: weight already at the cap cannot be promoted and
-    is dropped from the added branch before renormalizing.
-    """
-    if not 0.0 <= p_noise <= 1.0:
-        raise ValueError("p_noise must be in [0, 1]")
-    if p_noise == 0.0:
-        return state
-    reg = state.register
-    ad = _lowering(reg.dim_per_mode).conj().T
-    ket = [reg.axis(optical)]
-    bra = [reg.n_modes + ket[0]]
-    t = state._tensor()
-    added = _apply_matrix(t, ad, ket)
-    added = _apply_matrix(added, ad.conj(), bra)
-    added = added.reshape(reg.dim, reg.dim)
-    norm = np.real(np.trace(added))
-    if norm <= 0.0:
-        raise ValueError(f"cannot add a photon to mode {optical!r}: no headroom below n_max")
-    out = (1.0 - p_noise) * state.rho + (p_noise / norm) * added
-    return FockState(reg, out)
-
-
-def _check_detector(eta: float, p_extra: float) -> None:
+def _click_effects(d: int, eta: float, p_extra: float) -> dict:
+    """Diagonals of the click (True) and no-click (False) POVM elements on
+    one mode: no click is (1 - p_extra)(1 - eta)^n, p_extra being the
+    detection probability from light outside the interfering mode."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must be in [0, 1]")
     if not 0.0 <= p_extra < 1.0:
         raise ValueError("p_extra must be in [0, 1)")
-
-
-def _click_effects(d: int, eta: float, p_extra: float) -> dict:
-    """Diagonals of the click (True) and no-click (False) POVM elements of
-    measure_click on one mode."""
-    _check_detector(eta, p_extra)
     dark = (1.0 - p_extra) * (1.0 - eta) ** np.arange(d)
     return {True: 1.0 - dark, False: dark}
-
-
-def _click_kraus(d: int, eta: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """No-click Kraus and the list of k-photons-detected Kraus operators."""
-    no_click = np.zeros((d, d), dtype=np.complex128)
-    for n in range(d):
-        no_click[n, n] = (1.0 - eta) ** (n / 2.0)
-    detected = []
-    for k in range(1, d):
-        m = np.zeros((d, d), dtype=np.complex128)
-        for n in range(k, d):
-            m[n - k, n] = math.sqrt(math.comb(n, k) * (eta ** k) * ((1.0 - eta) ** (n - k)))
-        detected.append(m)
-    return no_click, detected
-
-
-def measure_click(state: FockState, optical: str, eta: float,
-                  p_extra: float = 0.0) -> tuple[ClickOutcome, ClickOutcome]:
-    """Non-number-resolving detection on one mode.
-
-    POVM: no-click element diag((1-eta)^n); click is the complement.
-    p_extra is the probability of a detection event from light that does not
-    occupy the interfering mode (background counts plus spectrally
-    distinguishable spontaneous-emission leakage): the no-click element is
-    scaled by (1 - p_extra) and the click branch mixes in the unmeasured
-    state with weight p_extra (the detector cannot tell the sources apart).
-    Returns (click_branch, no_click_branch) with normalized conditional
-    states; a zero-probability branch carries state=None.
-    """
-    _check_detector(eta, p_extra)
-    reg = state.register
-    no_click, detected = _click_kraus(reg.dim_per_mode, eta)
-    nc_state = _apply_kraus(state, [no_click], (optical,))
-    p_nc0 = float(np.real(np.trace(nc_state.rho)))
-    c_rho = _apply_kraus(state, detected, (optical,)).rho  # n_max >= 1: never empty
-    c_rho = (1.0 - p_extra) * c_rho + p_extra * state.rho
-    # the trace of the click branch itself, not the complement of the
-    # no-click one: a rare click would cancel to a few digits there
-    p_c = float(np.real(np.trace(c_rho)))
-    p_nc = (1.0 - p_extra) * p_nc0
-    click = ClickOutcome(
-        clicked=True, probability=p_c,
-        state=FockState(reg, c_rho / p_c) if p_c > 1e-300 else None,
-    )
-    noclick = ClickOutcome(
-        clicked=False, probability=p_nc,
-        state=FockState(reg, nc_state.rho / p_nc0) if p_nc > 1e-300 else None,
-    )
-    return click, noclick
-
-
-def partial_trace(state: FockState, keep: Sequence[str]) -> FockState:
-    """Trace out all modes not in ``keep`` (order of ``keep`` is preserved)."""
-    reg = state.register
-    keep = tuple(keep)
-    for label in keep:
-        reg.axis(label)
-    drop = [l for l in reg.labels if l not in keep]
-    t = state._tensor()
-    L = reg.n_modes
-    # trace one dropped mode at a time, tracking the shrinking axis layout
-    labels = list(reg.labels)
-    for label in drop:
-        i = labels.index(label)
-        n = len(labels)
-        t = np.trace(t, axis1=i, axis2=n + i)
-        labels.pop(i)
-    # reorder remaining modes to the requested order
-    perm_modes = [labels.index(l) for l in keep]
-    n = len(labels)
-    perm = perm_modes + [n + p for p in perm_modes]
-    t = np.transpose(t, perm)
-    new_reg = ModeRegister(keep, n_max=reg.n_max, max_entries=reg.max_entries)
-    return FockState(new_reg, t.reshape(new_reg.dim, new_reg.dim))
 
 
 def wootters_concurrence(rho4: np.ndarray) -> float:
@@ -493,7 +248,7 @@ def _link_state(params: ExperimentParams, n_max: int, conditioning: str,
     weights = np.array([params.chi ** n for n in range(d)])
     c = np.sqrt(weights / weights.sum())
     psi = np.outer(c, c).ravel()
-    u = _beam_splitter_unitary(d, 0.0, math.pi / 4)
+    u = _mixer(d)
     click = np.repeat(_click_effects(d, params.eta, 0.0)[True], d)
     rho = np.outer(psi, psi) * (u.conj().T @ (click[:, None] * u)).T
     p_herald = float(np.real(np.trace(rho)))
@@ -530,9 +285,8 @@ def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
 # -- effect operators ------------------------------------------------------
 #
 # A readout stage acts on two spin modes: retrieval of each into its own
-# vacuum readout mode (apply_retrieval), in-mode noise on the first and then
-# the second readout (inject_noise), an optional mixer on the two readouts,
-# and clicks.  Rather than evolving the state, each click effect E on the
+# vacuum readout mode, in-mode noise on the first and then the second
+# readout, an optional mixer on the two readouts, and clicks.  Rather than evolving the state, each click effect E on the
 # readouts is pulled back to the spins as the operator M with
 # Tr[M rho_spins] = Tr[E rho_readouts] (Heisenberg picture).
 
@@ -540,8 +294,9 @@ def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     """Adjoint of retrieving one spin (then traced) into its vacuum readout:
     s[(n, k), (o, q)] = sum_a w[a, o, n] w[a, q, k] with the binomial
     amplitudes w[a, o, n] = <a, o| U |n, 0> = delta(a + o, n) sqrt(C(n, o))
-    (1 - gamma)^(a/2) gamma^(o/2) of the U of apply_retrieval (Campos, Saleh
-    & Teich, PRA 40, 1371 (1989)).  U conserves the photon number and a
+    (1 - gamma)^(a/2) gamma^(o/2) of the retrieval's partial swap U, a beam
+    splitter of angle asin(sqrt(gamma)) (Campos, Saleh & Teich, PRA 40, 1371
+    (1989)).  U conserves the photon number and a
     vacuum readout keeps it at n <= n_max, where the truncated U is exact.
     s is real; the forward map is s^T."""
     if not 0.0 <= gamma <= 1.0:
@@ -575,8 +330,8 @@ def _pull_back(effects: np.ndarray, rho_spins: np.ndarray, d: int,
     spin modes of rho_spins: M_j with Tr[M_j rho_spins] = Tr[E_j rho_readouts].
     A mixer U in front of the clicks is the caller's: E_j = U^dag E U.
 
-    inject_noise renormalizes the photon-added branch, so it is not a fixed
-    linear map.  Its two norms are computed first from rho_spins (only the
+    The in-mode noise mixes in a renormalized photon-added branch, so it is
+    not a fixed linear map.  Its two norms are computed first from rho_spins (only the
     reduced state of the two spins matters); with the norms fixed the noise
     on each readout is X -> (1 - q) X + (q / norm) a^dag X a, whose adjoint
     a X a^dag acts on the effects.
@@ -617,7 +372,10 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     q1 = in_mode_noise(params, params.t1_us, conditioning)
     extra1 = detector_extra(params, params.t1_us, params.z_b)
     click = np.repeat(_click_effects(d, params.eta, extra1)[True], d)
-    mixer = _beam_splitter_unitary(d, ES_PHASE, math.pi / 4)
+    # Constant interferometer offsets are calibrated so the heralded
+    # verification fringe peaks at theta = 0, matching the closed-form
+    # (1 + cos theta)/2: the swap mixer carries no phase.
+    mixer = _mixer(d)
     effects = np.stack([mixer.conj().T @ (click[:, None] * mixer), np.eye(d * d)])
 
     # reduced state of (mem_b1, mem_b2): the inner mode of each link
@@ -639,9 +397,6 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     return p_click, FockState(reg, rho / p_click)
 
 
-_JOINT_KEYS = ((True, True), (True, False), (False, True), (False, False))
-
-
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _phase_orders(d: int) -> np.ndarray:
     """0/1 map from the d^4 entries [l, k] of a (mem_a, mem_c) operator to
@@ -651,12 +406,15 @@ def _phase_orders(d: int) -> np.ndarray:
     return (shift[:, None] == np.arange(2 * d - 1)).astype(float)
 
 
-def _readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
-                    p_extra: float, thetas: Sequence[float]) -> tuple[list[dict], dict]:
-    """Joint click distributions of the two readouts of rho_ac: behind the
-    verification mixer at each theta (fringe), and with direct per-channel
-    detection (counting).  The two arms share everything up to the clicks,
-    so their eight effects are pulled back in one stack.
+def readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
+                   p_extra: float, thetas: Sequence[float]) -> tuple[list[dict], dict]:
+    """Joint (detector 1, detector 2) click distributions, keyed by
+    JOINT_ORDER, of the two readouts of rho_ac: behind the verification
+    mixer at each theta (fringe), and with direct per-channel detection
+    (counting).  Both outer memories are retrieved (gamma), in-mode noise q
+    is added to each readout, and each detector has efficiency eta and
+    extra-click probability p_extra.  The two arms share everything up to
+    the clicks, so their eight effects are pulled back in one stack.
 
     The fringe effects are pulled back at theta = 0 only: the mixer phase is
     exp(i theta n) on read_c, which commutes through the noise and the
@@ -668,9 +426,9 @@ def _readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
     n_max = d - 1
     port = _click_effects(d, eta, p_extra)
     ports = np.stack([port[True], port[False]])
-    # diags[j]: outer product of the (port 1, port 2) effects of _JOINT_KEYS[j]
+    # diags[j]: outer product of the (port 1, port 2) effects of JOINT_ORDER[j]
     diags = (ports[:, None, :, None] * ports[None, :, None, :]).reshape(4, d * d)
-    mixer = _beam_splitter_unitary(d, 0.0, math.pi / 4)
+    mixer = _mixer(d)
     effects = np.concatenate([mixer.conj().T @ (diags[:, :, None] * mixer),
                               diags[:, :, None] * np.eye(d * d)])
     pulled = _pull_back(effects, rho_ac.rho, d, gamma, q)
@@ -679,47 +437,8 @@ def _readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
     phases = np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1)))
     fringe = np.real(phases @ coeffs[:4].T)
     counting = np.real(coeffs[4:].sum(axis=1))
-    return ([dict(zip(_JOINT_KEYS, map(float, row))) for row in fringe],
-            dict(zip(_JOINT_KEYS, map(float, counting))))
-
-
-def joint_clicks(state: FockState, mode1: str, mode2: str, eta: float,
-                 p_extra: float = 0.0) -> dict:
-    """Joint click distribution over two modes: keys (bool, bool)."""
-    out = {}
-    c1, n1 = measure_click(state, mode1, eta, p_extra=p_extra)
-    for first in (c1, n1):
-        if first.state is None:
-            out[(first.clicked, True)] = 0.0
-            out[(first.clicked, False)] = 0.0
-            continue
-        c2, n2 = measure_click(first.state, mode2, eta, p_extra=p_extra)
-        out[(first.clicked, True)] = first.probability * c2.probability
-        out[(first.clicked, False)] = first.probability * n2.probability
-    return out
-
-
-def verification_fringe(rho_ac: FockState, gamma: float, q: float, eta: float,
-                        thetas: Sequence[float], p_extra: float = 0.0) -> list[dict]:
-    """verification_joint at each theta, from one pull-back of the effects."""
-    return _readout_joints(rho_ac, gamma, q, eta, p_extra, thetas)[0]
-
-
-def verification_joint(rho_ac: FockState, gamma: float, q: float, eta: float,
-                       theta: float, p_extra: float = 0.0) -> dict:
-    """Joint (port1, port2) click distribution after the verification mixer.
-
-    Both outer memories are retrieved (gamma), in-mode noise q is added to
-    each readout, the readouts meet on a 50/50 mixer with phase theta and
-    each output port has a click detector (eta, p_extra).
-    """
-    return _readout_joints(rho_ac, gamma, q, eta, p_extra, (theta,))[0][0]
-
-
-def counting_joint(rho_ac: FockState, gamma: float, q: float, eta: float,
-                   p_extra: float = 0.0) -> dict:
-    """Joint (a, c) click distribution with direct per-channel detection."""
-    return _readout_joints(rho_ac, gamma, q, eta, p_extra, ())[1]
+    return ([dict(zip(JOINT_ORDER, map(float, row))) for row in fringe],
+            dict(zip(JOINT_ORDER, map(float, counting))))
 
 
 @dataclass(frozen=True)
@@ -784,7 +503,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
     eta = params.eta
 
     p_coinc, p_joint, p_ev1, ev_joint = {}, {}, {}, {}
-    fringe, counting = _readout_joints(rho_ac, gamma2, q2, eta, extra2, thetas)
+    fringe, counting = readout_joints(rho_ac, gamma2, q2, eta, extra2, thetas)
     for theta, joint in zip(thetas, fringe):
         pev1 = joint[(True, True)] + joint[(True, False)]
         p_ev1[theta] = pev1
@@ -792,7 +511,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
         p_joint[theta] = p_es1 * pev1
         p_coinc[theta] = 4.0 * p_es1 * pev1
 
-    p11, p10, p01, p00 = (counting[key] for key in _JOINT_KEYS)
+    p11, p10, p01, p00 = (counting[key] for key in JOINT_ORDER)
     h_det = p11 / (p10 * p01) if p10 > 0 and p01 > 0 else math.inf
 
     values = np.array([p_coinc[t] for t in thetas])
@@ -808,7 +527,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
         "p11": float(np.real(block[3, 3])),
     }
     ideal_fringe = np.array([joint[(True, True)] + joint[(True, False)]
-                             for joint in verification_fringe(rho_ac, 1.0, 0.0, 1.0, thetas)])
+                             for joint in readout_joints(rho_ac, 1.0, 0.0, 1.0, 0.0, thetas)[0]])
     v_spin = float((ideal_fringe.max() - ideal_fringe.min())
                    / (ideal_fringe.max() + ideal_fringe.min())) \
         if ideal_fringe.max() + ideal_fringe.min() > 0 else 0.0

@@ -22,7 +22,7 @@ Each uniform is the double Generator.random() makes of one 64-bit Philox
 word w, u = (w >> 11) * 2**-53.  run_batch decides u < p on the raw word
 instead, as w < ceil(p * 2**53) * 2**11, which holds for exactly the same
 words; only the fringe and counting uniforms of swap-click trials are
-converted to doubles.  trial_stream/run_trial keep drawing doubles.
+converted to doubles.
 """
 
 from __future__ import annotations
@@ -35,19 +35,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analytic, fock
+from .fock import JOINT_ORDER  # fixed order of joint two-detector outcomes
 from .params import ExperimentParams, ParamError, at_t2, with_overrides
 from .series import CurveSeries
 
 __all__ = [
-    "TrialOutcome",
-    "TrialStream",
     "ConditionalTables",
     "SwapStatistics",
     "JOINT_ORDER",
     "CHUNK_TRIALS",
     "conditional_tables",
-    "trial_stream",
-    "run_trial",
     "run_batch",
     "sweep",
     "SWEEP_AXES",
@@ -59,24 +56,12 @@ __all__ = [
 # m=32 a chunk's herald decisions are a 1 MB bool block.
 CHUNK_TRIALS = 16_384
 
-# Fixed unpacking order of joint two-detector outcomes when inverting a
-# uniform against the cumulative distribution.
-JOINT_ORDER = ((True, True), (True, False), (False, True), (False, False))
-
 _WORDS_PER_TICK = 4  # Philox4x64 emits four 64-bit words per counter tick
 _TWO_53 = float(2 ** 53)  # Generator.random() keeps the top 53 bits of a word
 
 
 def _herald_ticks(m_modes: int) -> int:
     return -(-2 * m_modes // _WORDS_PER_TICK)
-
-
-def _uniform_block(seed: int, stream: int, first_tick: int, n_ticks: int) -> np.ndarray:
-    """Doubles for ticks [first_tick, first_tick + n_ticks) of one stream."""
-    bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    if first_tick:
-        bg.advance(first_tick)
-    return np.random.Generator(bg).random(n_ticks * _WORDS_PER_TICK)
 
 
 def _below(words: np.ndarray, p: float) -> np.ndarray:
@@ -105,57 +90,6 @@ def _check_seed(seed: int) -> int:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    """Everything observable about a single protocol repetition.
-
-    Mode indices are 1-based and refer to the lowest heralded mode of each
-    link; routed_mode is the lowest index heralded by both links, which is
-    the one the switch network feeds to the swap station.  A swap click
-    implies both links heralded.
-    """
-
-    eg_mode_ab1: Optional[int]
-    eg_mode_b2c: Optional[int]
-    routed_mode: Optional[int]
-    es_click: bool
-    ev1_click: bool
-    ev2_click: bool
-    a_click: bool
-    c_click: bool
-    t1_us: float
-    t2_us: float
-    theta: float
-    cutoff_aborted: bool = False
-
-    def __post_init__(self):
-        if self.es_click and (self.eg_mode_ab1 is None or self.eg_mode_b2c is None):
-            raise ValueError("swap click without both link heralds")
-
-
-@dataclass(frozen=True)
-class TrialStream:
-    """Uniform draws for one trial, sliced from the global counter streams."""
-
-    herald: np.ndarray        # 2m doubles, link A-B1 modes first
-    interference: np.ndarray  # 4 doubles: swap, fringe joint, counting joint, spare
-
-    def __post_init__(self):
-        if len(self.interference) != _WORDS_PER_TICK:
-            raise ValueError("interference slice must hold 4 doubles")
-
-
-def trial_stream(seed: int, index: int, m_modes: int, stream_offset: int = 0) -> TrialStream:
-    """The exact uniforms trial `index` consumes inside run_batch."""
-    seed = _check_seed(seed)
-    if index < 0:
-        raise ParamError("trial index must be >= 0")
-    ticks = _herald_ticks(m_modes)
-    herald = _uniform_block(seed, stream_offset, ticks * index, ticks)[: 2 * m_modes]
-    interference = _uniform_block(seed, stream_offset + 1, index, 1)
-    return TrialStream(herald=herald, interference=interference)
-
-
-@dataclass(frozen=True)
 class ConditionalTables:
     """Engine-computed click distributions for the heralded quadruple.
 
@@ -168,12 +102,6 @@ class ConditionalTables:
     thetas: tuple
     fringe_cdf: np.ndarray   # (n_theta, 4)
     counting_cdf: np.ndarray  # (4,)
-
-    def theta_row(self, theta: float) -> np.ndarray:
-        for j, t in enumerate(self.thetas):
-            if t == theta:
-                return self.fringe_cdf[j]
-        raise KeyError(f"theta {theta} not tabulated")
 
 
 def _joint_cdf(joint: dict) -> np.ndarray:
@@ -193,7 +121,7 @@ def _tables_cached(params: ExperimentParams, thetas: tuple, n_max: int,
     gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
     q2 = fock.in_mode_noise(params, params.t2_us, conditioning)
     extra2 = fock.detector_extra(params, params.t2_us, params.z_ac)
-    fringe, counting = fock._readout_joints(rho_ac, gamma2, q2, params.eta, extra2, thetas)
+    fringe, counting = fock.readout_joints(rho_ac, gamma2, q2, params.eta, extra2, thetas)
     rows = [_joint_cdf(joint) for joint in fringe]
     return ConditionalTables(
         p_swap1=p_click,
@@ -209,56 +137,6 @@ def conditional_tables(params: ExperimentParams, thetas: Sequence[float],
     """Build (or fetch cached) conditional click tables for a theta grid."""
     key = tuple(float(t) for t in thetas)
     return _tables_cached(params, key, int(n_max), conditioning)
-
-
-def _sample_joint(cdf: np.ndarray, u: float) -> tuple:
-    k = int(np.searchsorted(cdf, u, side="right"))
-    return JOINT_ORDER[min(k, 3)]
-
-
-def run_trial(params: ExperimentParams, stream: TrialStream, theta: float,
-              tables: Optional[ConditionalTables] = None,
-              n_max: int = fock.DEFAULT_N_MAX,
-              conditioning: str = "heralded") -> TrialOutcome:
-    """Play one repetition using the supplied per-trial uniforms.
-
-    Heralds are Bernoulli per mode with the single-mode herald probability;
-    the swap is attempted only when some index heralded in both links (the
-    beam displacers combine readouts per index, so cross-index swaps cannot
-    interfere).  Swap and verification outcomes come from the engine tables.
-    Failures are data, not errors.
-    """
-    m = params.m_modes
-    if len(stream.herald) != 2 * m:
-        raise ParamError(f"herald slice holds {len(stream.herald)} doubles, need {2 * m}")
-    theta = float(theta)
-    p1 = analytic.single_mode_herald_probability(params)
-    hits_ab1 = stream.herald[:m] < p1
-    hits_b2c = stream.herald[m:] < p1
-    eg_ab1 = int(np.argmax(hits_ab1)) + 1 if hits_ab1.any() else None
-    eg_b2c = int(np.argmax(hits_b2c)) + 1 if hits_b2c.any() else None
-
-    aborted = params.cutoff_us is not None and params.t2_us > params.cutoff_us
-    common = hits_ab1 & hits_b2c
-    routed = int(np.argmax(common)) + 1 if (common.any() and not aborted) else None
-
-    es = ev1 = ev2 = a_click = c_click = False
-    if routed is not None:
-        # engine tables are only defined (and only needed) when a swap runs
-        if tables is None or not any(t == theta for t in tables.thetas):
-            tables = conditional_tables(params, (theta,), n_max, conditioning)
-        es = bool(stream.interference[0] < tables.p_swap1)
-        if es:
-            ev1, ev2 = _sample_joint(tables.theta_row(theta), stream.interference[1])
-            a_click, c_click = _sample_joint(tables.counting_cdf, stream.interference[2])
-
-    return TrialOutcome(
-        eg_mode_ab1=eg_ab1, eg_mode_b2c=eg_b2c, routed_mode=routed,
-        es_click=bool(es), ev1_click=bool(ev1), ev2_click=bool(ev2),
-        a_click=bool(a_click), c_click=bool(c_click),
-        t1_us=params.t1_us, t2_us=params.t2_us, theta=theta,
-        cutoff_aborted=bool(aborted),
-    )
 
 
 @dataclass(frozen=True)
@@ -420,7 +298,7 @@ def run_batch(params: ExperimentParams, n_trials: int,
         p_swap1 = 0.0
 
     # Both streams start at trial 0 and are read in trial order, so each
-    # chunk's draws are the tick-aligned slices trial_stream takes.
+    # chunk's draws are the tick-aligned slices of its trials.
     herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
     interference_gen = np.random.Philox(
         key=np.array([seed, stream_offset + 1], dtype=np.uint64))

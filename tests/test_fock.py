@@ -1,8 +1,9 @@
 """Density-matrix engine: operator contracts, detection model, swap pipeline.
 
-Operator tests compare against hand-derived amplitudes (beam splitter on one
-photon, binomial retrieval statistics, geometric pair-source weights), not
-against the implementation's own matrices.
+The elementary operators are those of the Schrödinger-picture oracle
+(tests/oracles.py).  Their tests compare against hand-derived amplitudes
+(beam splitter on one photon, binomial retrieval statistics, geometric
+pair-source weights), not against the implementation's own matrices.
 """
 
 import math
@@ -11,29 +12,32 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import dlcz_swap
+import oracles
 from dlcz_swap import fock, protocol
 from dlcz_swap.fock import (
     DimensionError,
     FockState,
     ModeRegister,
-    apply_beam_splitter,
-    apply_pair_source,
-    apply_retrieval,
-    counting_joint,
     detector_extra,
     heralded_spin_state,
     in_mode_noise,
+    readout_joints,
+    swap_pipeline,
+    swap_stage,
+    wootters_concurrence,
+)
+from dlcz_swap.params import at_t2, with_overrides
+from oracles import (
+    apply_beam_splitter,
+    apply_pair_source,
+    apply_retrieval,
     inject_noise,
     joint_clicks,
     measure_click,
     partial_trace,
-    swap_pipeline,
-    swap_stage,
     vacuum,
-    verification_joint,
-    wootters_concurrence,
 )
-from dlcz_swap.params import at_t2, with_overrides
 
 # Frozen engine outputs at the default parameter point (n_max = 2, 16-point
 # fringe grid).  Regression anchors: a change here is a change of the model.
@@ -65,7 +69,7 @@ def test_vacuum():
     reg = ModeRegister(("a", "b"), n_max=2)
     v = vacuum(reg)
     assert v.trace() == pytest.approx(1.0)
-    assert v.purity() == pytest.approx(1.0)
+    assert np.trace(v.rho @ v.rho).real == pytest.approx(1.0)
     assert v.occupation("a")[0] == pytest.approx(1.0)
 
 
@@ -91,7 +95,8 @@ def test_beam_splitter_unitary():
     state = FockState(reg, rho / np.trace(rho))
     out = apply_beam_splitter(state, "u", "v", phase=0.7, angle=0.4)
     assert out.trace() == pytest.approx(1.0, abs=1e-12)
-    assert out.purity() == pytest.approx(state.purity(), abs=1e-12)
+    assert np.trace(out.rho @ out.rho).real == pytest.approx(
+        np.trace(state.rho @ state.rho).real, abs=1e-12)
     # inverse angle undoes the mixing
     back = apply_beam_splitter(out, "u", "v", phase=0.7, angle=-0.4)
     assert np.allclose(back.rho, state.rho, atol=1e-12)
@@ -424,10 +429,9 @@ def test_no_click_rate_mixer_invariant(defaults):
     _, rho_ac = swap_stage(defaults)
     gamma2 = defaults.gamma0 * math.exp(-defaults.t2_us / defaults.tau0_us)
     extra2 = detector_extra(defaults, defaults.t2_us, defaults.z_ac)
-    count = counting_joint(rho_ac, gamma2, 0.0, defaults.eta, p_extra=extra2)
-    for theta in (0.0, 1.0, math.pi, 4.5):
-        joint = fock.verification_joint(rho_ac, gamma2, 0.0, defaults.eta,
-                                        theta, p_extra=extra2)
+    fringe, count = readout_joints(rho_ac, gamma2, 0.0, defaults.eta, extra2,
+                                   (0.0, 1.0, math.pi, 4.5))
+    for joint in fringe:
         assert joint[(False, False)] == pytest.approx(
             count[(False, False)], rel=1e-10)
 
@@ -450,15 +454,15 @@ def test_entry_cap_applies_to_herald_register(defaults, conditioning):
 
 
 def test_operator_caches_bounded():
-    caches = (fock._beam_splitter_unitary, fock._pair_source_unitary,
-              fock._readout_lowering, fock._phase_orders)
+    caches = (oracles._beam_splitter_unitary, oracles._pair_source_unitary,
+              fock._mixer, fock._readout_lowering, fock._phase_orders)
     for cache in caches:
         cache.cache_clear()
     state = vacuum(ModeRegister(("spin", "light")))
     for gamma in np.linspace(0.0, 1.0, 200):
         apply_retrieval(state, "spin", "light", float(gamma))
     # one beam-splitter angle per gamma, more than the cache keeps
-    assert fock._beam_splitter_unitary.cache_info().misses > fock.OPERATOR_CACHE_SIZE
+    assert oracles._beam_splitter_unitary.cache_info().misses > fock.OPERATOR_CACHE_SIZE
     for cache in caches:
         assert cache.cache_info().currsize <= fock.OPERATOR_CACHE_SIZE
 
@@ -468,23 +472,23 @@ def test_retrieval_adjoint_matches_expm(d):
     # the binomial map against the truncated beam-splitter exponential it
     # replaced: exact on the n <= n_max block a vacuum readout starts in
     for gamma in np.linspace(0.0, 1.0, 41):
-        u = fock._beam_splitter_unitary(d, 0.0, math.asin(math.sqrt(gamma)))
+        u = oracles._beam_splitter_unitary(d, 0.0, math.asin(math.sqrt(gamma)))
         w = u[:, ::d].reshape(d, d, d)
         want = np.einsum("aon,aqk->nkoq", w.conj(), w).reshape(d * d, d * d)
         assert np.abs(fock._retrieval_adjoint(d, float(gamma)) - want).max() <= 1e-14
 
 
 def test_new_storage_times_need_no_exponential(defaults, monkeypatch):
-    # a new t2 needs the fixed 50/50 mixers only, and each detected readout
+    # a new t2 needs the fixed 50/50 mixer only, and each detected readout
     # is one pull-back: swap, detected arms and ideal fringe per pipeline,
     # swap and detected arms per table build
-    angles, pulls = set(), []
-    mixer, pull_back = fock._beam_splitter_unitary, fock._pull_back
-    monkeypatch.setattr(fock, "_beam_splitter_unitary",
-                        lambda d, phase, angle: angles.add(angle) or mixer(d, phase, angle))
+    pulls = []
+    pull_back = fock._pull_back
     monkeypatch.setattr(fock, "_pull_back",
                         lambda *args: pulls.append(1) or pull_back(*args))
     protocol._tables_cached.cache_clear()
+    swap_pipeline(defaults)
+    mixers = fock._mixer.cache_info()
     for t2 in np.linspace(3.0, 47.0, 20):
         params = at_t2(defaults, float(t2))
         pulls.clear()
@@ -493,27 +497,42 @@ def test_new_storage_times_need_no_exponential(defaults, monkeypatch):
         pulls.clear()
         protocol.conditional_tables(params, fock.default_theta_grid())
         assert len(pulls) == 2
-    assert angles == {math.pi / 4}
+    # the mixer cache gains no entry over the fresh t2 points
+    assert fock._mixer.cache_info().currsize == mixers.currsize
+    assert fock._mixer.cache_info().misses == mixers.misses
 
 
-def test_heralded_pipeline_builds_no_register(defaults, monkeypatch):
-    # the heralded link is a closed form: the pipeline must not fall back to
-    # evolving a register through the staged primitives
-    def staged(*args, **kwargs):
-        raise AssertionError("staged register operation in the swap pipeline")
+# Names of the Schrödinger-picture toolkit and the scalar trial loop, which
+# live in tests/oracles.py as references and nowhere in the package.
+ORACLE_NAMES = (
+    "ClickOutcome", "vacuum", "_apply_matrix", "_apply_unitary", "_apply_kraus",
+    "apply_beam_splitter", "_beam_splitter_unitary", "_pair_source_unitary",
+    "apply_pair_source", "apply_retrieval", "inject_noise", "_click_kraus",
+    "measure_click", "partial_trace", "joint_clicks", "_uniform_block",
+    "TrialOutcome", "TrialStream", "trial_stream", "_sample_joint", "run_trial",
+)
 
-    for name in ("vacuum", "apply_pair_source", "measure_click", "partial_trace"):
-        monkeypatch.setattr(fock, name, staged)
-    swap_pipeline(defaults)
-    swap_pipeline(defaults, n_max=3)
+
+def test_replaced_paths_live_only_in_the_oracle():
+    # one code path per layer: the pipeline pulls effects back and run_batch
+    # decides raw words; the paths they replaced are test references only
+    for name in ORACLE_NAMES:
+        assert hasattr(oracles, name), name
+        for module in (dlcz_swap, fock, protocol):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert not hasattr(protocol.ConditionalTables, "theta_row")
+    for name in ("verification_fringe", "verification_joint", "counting_joint",
+                 "_readout_joints", "_JOINT_KEYS"):
+        assert not hasattr(fock, name), name
+    assert protocol.JOINT_ORDER is fock.JOINT_ORDER
 
 
 # -- staged Schroedinger oracle ----------------------------------------------
 #
 # The swap and verification stages evolved as density matrices with the
-# readout modes attached (six modes for the swap), built from the public
-# primitives only.  swap_stage, verification_joint and counting_joint pull the
-# click effects back onto the spins instead and must agree to rounding.
+# readout modes attached (six modes for the swap), built from the oracle's
+# primitives only.  swap_stage and readout_joints pull the click effects back
+# onto the spins instead and must agree to rounding.
 
 ORACLE_TOL = 1e-12
 
@@ -621,12 +640,11 @@ def test_readout_joints_match_staged_oracle(boosted, conditioning):
     extra2 = detector_extra(params, params.t2_us, params.z_ac)
     thetas = np.random.default_rng(17).uniform(0.0, 2.0 * math.pi, 4)
     for state in (rho_ac, twisted):
-        for theta in thetas:
-            got = verification_joint(state, gamma2, q2, params.eta, theta, p_extra=extra2)
+        fringe, counting = readout_joints(state, gamma2, q2, params.eta, extra2, thetas)
+        for theta, got in zip(thetas, fringe):
             want = _oracle_readout(state, gamma2, q2, params.eta, extra2, theta)
             for key, value in want.items():
                 assert abs(got[key] - value) <= ORACLE_TOL
-        got = counting_joint(state, gamma2, q2, params.eta, p_extra=extra2)
         want = _oracle_readout(state, gamma2, q2, params.eta, extra2)
         for key, value in want.items():
-            assert abs(got[key] - value) <= ORACLE_TOL
+            assert abs(counting[key] - value) <= ORACLE_TOL

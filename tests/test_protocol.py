@@ -1,7 +1,9 @@
 """Monte Carlo layer: counter streams, single trials, batches, sweeps.
 
-The stream tests rebuild the documented Philox layout with numpy directly,
-so a regression in the advance arithmetic cannot hide behind itself.
+Single trials are played by the scalar oracle (tests/oracles.py), which
+draws doubles; run_batch must reproduce its counts.  The stream tests
+rebuild the documented Philox layout with numpy directly, so a regression
+in the advance arithmetic cannot hide behind itself.
 """
 
 import json
@@ -17,13 +19,11 @@ from dlcz_swap.params import ParamError, with_overrides
 from dlcz_swap.protocol import (
     JOINT_ORDER,
     SwapStatistics,
-    TrialOutcome,
     conditional_tables,
     run_batch,
-    run_trial,
     sweep,
-    trial_stream,
 )
+from oracles import TrialOutcome, TrialStream, run_trial, trial_stream
 
 
 def _philox_words(seed, stream, n_words):
@@ -82,8 +82,7 @@ def test_run_trial_forced_paths(boosted):
     tables = conditional_tables(boosted, (0.0,))
 
     def play(herald, interference):
-        ts = protocol.TrialStream(herald=np.array(herald),
-                                  interference=np.array(interference))
+        ts = TrialStream(herald=np.array(herald), interference=np.array(interference))
         return run_trial(boosted, ts, 0.0, tables=tables)
 
     # all mode draws below p1: both links herald on their first mode
@@ -108,8 +107,7 @@ def test_run_trial_lowest_common_mode(boosted):
     tables = conditional_tables(boosted, (0.0,))
     # link 1 heralds modes 2,3; link 2 heralds modes 1,2 -> routed mode 2
     herald = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
-    ts = protocol.TrialStream(herald=herald,
-                              interference=np.array([0.9, 0.5, 0.5, 0.0]))
+    ts = TrialStream(herald=herald, interference=np.array([0.9, 0.5, 0.5, 0.0]))
     out = run_trial(boosted, ts, 0.0, tables=tables)
     assert out.eg_mode_ab1 == 2
     assert out.eg_mode_b2c == 1
