@@ -26,14 +26,15 @@ for chi in (params.chi, 0.05):
     print()
 
 # --- 2. two photons meeting at the swap station ----------------------------
-# Noise-free limit, one ideal excitation per link.  When both inner memories
+# Noise-free limit: at chi = 0 each heralded link holds exactly one
+# excitation, shared by its two memories.  When both inner memories
 # are excited, their photons bunch on the 50/50 mixer and the swap click
 # leaves both outer memories empty: 1/3 of the swapped state, against 3/7
 # if the photons could be told apart.
 
 ideal = with_overrides(params, chi=0.0, z_b=0.0, z_ac=0.0, xi_se=0.0,
                        gamma0=1.0, eta=1.0, t1_us=0.0, t2_us=1e-9, tau0_us=1e9)
-clean = fock.swap_pipeline(ideal, thetas=(0.0, math.pi), conditioning="ideal")
+clean = fock.swap_pipeline(ideal, thetas=(0.0, math.pi))
 print("two-photon interference at the swap station (noise-free):")
 print(f"  swap click probability        = {clean.p_es1:.4f}  (3/8)")
 print(f"  P(outer memories both empty)  = {clean.p_ij_spin['p00']:.4f}  (1/3)")

@@ -135,10 +135,13 @@ def _fig3(params, args):
                         observable="concurrence",
                         theta_grid=fock.default_theta_grid(args.theta_points),
                         name="concurrence_mc")
+    # the engine series reads the tables' own pipeline on the 16-point grid:
+    # a hit on the sweep's build at the default --theta-points, and the same
+    # values for any other
     eng_rows = []
     for t2 in t2_mc:
-        report = fock.swap_pipeline(at_t2(params, t2))
-        eng_rows.append((float(t2), report.concurrence_estimator, 0.0))
+        tables = protocol.conditional_tables(at_t2(params, t2), fock.default_theta_grid())
+        eng_rows.append((float(t2), tables.report.concurrence_estimator, 0.0))
     engine = CurveSeries("concurrence_engine", ("t2_us", "concurrence", "sigma"),
                          tuple(eng_rows), _meta(params, source="fock-engine"))
     return [_t2_curve(params, f"visibility_minus_sqrt_h_{form}", "margin", form,
@@ -425,8 +428,7 @@ def _check_concurrence_consistency():
     ideal = with_overrides(experiment_defaults(), chi=0.0, eta=1.0, gamma0=1.0,
                            tau0_us=1e9, z_b=0.0, z_ac=0.0, xi_se=0.0,
                            t2_us=1e-9)
-    rep0 = fock.swap_pipeline(ideal, thetas=(0.0, math.pi / 2, math.pi),
-                              conditioning="ideal")
+    rep0 = fock.swap_pipeline(ideal, thetas=(0.0, math.pi / 2, math.pi))
     ideal_gap = max(abs(rep0.concurrence_wootters - rep0.p_c_spin),
                     abs(rep0.concurrence_estimator - rep0.p_c_spin))
     return (gap <= allowance and ideal_gap <= 1e-8,

@@ -42,7 +42,6 @@ __all__ = [
     "wootters_concurrence",
     "heralded_spin_state",
     "swap_stage",
-    "in_mode_noise",
     "detector_extra",
     "readout_joints",
     "swap_pipeline",
@@ -201,72 +200,52 @@ def default_theta_grid(n: int = 16) -> tuple[float, ...]:
 
 
 def heralded_spin_state(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
-                        conditioning: str = "heralded", bell_sign: int = 1,
                         max_entries: int = DEFAULT_MAX_ENTRIES) -> FockState:
-    """Post-herald state of the four spin modes.
+    """Post-herald state of the four spin modes: two identical heralded links.
 
-    conditioning="heralded" (default): each memory pair is built from
-    truncated two-mode squeezers, the write photons mixed on a beam splitter
-    and a heralding click conditioned with the detector model; multi-pair
-    corrections (order chi and up) are retained in the state.
-
-    conditioning="ideal": both pairs prepared directly in the
-    single-excitation entangled state; the retrieved multi-pair photon
-    population is injected downstream as in-mode noise instead.
+    Each memory pair is built from truncated two-mode squeezers, the write
+    photons mixed on a beam splitter and a heralding click conditioned with
+    the detector model; multi-pair corrections (order chi and up) are
+    retained in the state.  At chi = 0 each link is the noise-free
+    single-excitation pair (|10> - |01>)/sqrt(2), the chi -> 0 limit.
     max_entries is the size check of _link_state (a register never built).
     """
-    link = _link_state(params, n_max, conditioning, bell_sign, max_entries)
+    link = _link_state(params, n_max, max_entries)
     reg = ModeRegister(SPIN_LABELS, n_max=n_max, max_entries=max_entries)
     return FockState(reg, np.kron(link, link))
 
 
-def _link_state(params: ExperimentParams, n_max: int, conditioning: str,
-                bell_sign: int, max_entries: int) -> np.ndarray:
+def _link_state(params: ExperimentParams, n_max: int, max_entries: int) -> np.ndarray:
     """Density matrix of one link, (outer memory, inner memory) = (mem_a,
     mem_b1) for the left link and (mem_b2, mem_c) for the right one; the
     links are identical constructions, so one matrix serves both.
 
-    Heralded: the write photons mirror the spins in the pair state
-    psi = c (x) c, c_n = sqrt(chi^n / sum_{k <= n_max} chi^k), so the click
-    of write_1 behind the 50/50 mixer U gives rho ~ (psi psi^dag) o M^T,
-    M = U^dag (E_click (x) 1) U.  max_entries is a size check on the
+    The write photons mirror the spins in the pair state psi = c (x) c,
+    c_n = sqrt(chi^n / sum_{k <= n_max} chi^k), so the click of write_1
+    behind the 50/50 mixer U gives rho ~ (psi psi^dag) o M^T,
+    M = U^dag (E_click (x) 1) U.  At chi = 0 psi is |10> + |01>, the
+    order-sqrt(chi) term of c (x) c: the herald removes the vacuum term, so
+    this is the exact chi -> 0 limit.  max_entries is a size check on the
     four-mode herald register, which is never built; it stays because the
     benchmark passes max_entries, and goes with its N3_MAX_ENTRIES.
     """
-    if bell_sign not in (1, -1):
-        raise ValueError("bell_sign must be +1 or -1")
     ModeRegister(("mem_a", "mem_b1", "write_1", "write_2"),
                  n_max=n_max, max_entries=max_entries)
     d = n_max + 1
-    if conditioning == "ideal":
-        psi = np.zeros(d * d, dtype=np.complex128)
-        psi[1 * d + 0] = 1.0
-        psi[0 * d + 1] = float(bell_sign)
-        return 0.5 * np.outer(psi, psi.conj())
-    if conditioning != "heralded":
-        raise ValueError(f"unknown conditioning {conditioning!r}")
-    weights = np.array([params.chi ** n for n in range(d)])
-    c = np.sqrt(weights / weights.sum())
-    psi = np.outer(c, c).ravel()
+    if params.chi > 0.0:
+        weights = np.array([params.chi ** n for n in range(d)])
+        c = np.sqrt(weights / weights.sum())
+        psi = np.outer(c, c).ravel()
+    else:
+        psi = np.zeros(d * d)
+        psi[[1, d]] = 1.0
     u = _mixer(d)
     click = np.repeat(_click_effects(d, params.eta, 0.0)[True], d)
     rho = np.outer(psi, psi) * (u.conj().T @ (click[:, None] * u)).T
     p_herald = float(np.real(np.trace(rho)))
     if p_herald <= 1e-300:
-        raise ValueError("herald click has zero probability (chi too small?)")
+        raise ValueError("herald click has zero probability")
     return rho / p_herald
-
-
-def in_mode_noise(params: ExperimentParams, t_us: float, conditioning: str) -> float:
-    """Retrieved multi-pair photon probability to inject into a readout mode.
-
-    With conditioning="heralded" the extra pairs live in the spin state and
-    come out through retrieval naturally; with "ideal" spins the same
-    population chi*gamma(t) is injected as in-mode (interfering) noise.
-    """
-    if conditioning == "heralded":
-        return 0.0
-    return params.chi * analytic.retrieval_efficiency(t_us, params)
 
 
 def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
@@ -285,9 +264,9 @@ def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
 # -- effect operators ------------------------------------------------------
 #
 # A readout stage acts on two spin modes: retrieval of each into its own
-# vacuum readout mode, in-mode noise on the first and then the second
-# readout, an optional mixer on the two readouts, and clicks.  Rather than evolving the state, each click effect E on the
-# readouts is pulled back to the spins as the operator M with
+# vacuum readout mode, an optional mixer on the two readouts, and clicks.
+# Rather than evolving the state, each click effect E on the readouts is
+# pulled back to the spins as the operator M with
 # Tr[M rho_spins] = Tr[E rho_readouts] (Heisenberg picture).
 
 def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
@@ -308,50 +287,23 @@ def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     return np.einsum("aon,aqk->nkoq", w, w).reshape(d * d, d * d)
 
 
-def _on_both_modes(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Apply the one-mode map s to both modes of each operator in the
-    (k, d^2, d^2) stack x: y[(n m), (k l)] = s[(n k), (o q)] s[(m l), (p r)]
-    x[(o p), (q r)], as two batched matmuls on the (mode 1, mode 2) layout."""
-    d = math.isqrt(s.shape[0])
-    x = x.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
+def _pull_back(effects: np.ndarray, d: int, gamma: float) -> np.ndarray:
+    """Pull a (k, d^2, d^2) stack of readout effects E_j back onto the two
+    spin modes: M_j with Tr[M_j rho_spins] = Tr[E_j rho_readouts], retrieval
+    gamma on each mode.  A mixer U in front of the clicks is the caller's:
+    E_j = U^dag E U.
+
+    With s the one-mode retrieval adjoint, M[(n m), (k l)] = s[(n k), (o q)]
+    s[(m l), (p r)] E[(o p), (q r)]: two batched matmuls on the
+    (mode 1, mode 2) layout.
+    """
+    s = _retrieval_adjoint(d, gamma)
+    x = effects.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
     y = s @ x @ s.T
     return y.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
 
 
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _readout_lowering(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowering operators of the first and the second readout mode."""
-    return np.kron(_lowering(d), np.eye(d)), np.kron(np.eye(d), _lowering(d))
-
-
-def _pull_back(effects: np.ndarray, rho_spins: np.ndarray, d: int,
-               gamma: float, q: float) -> np.ndarray:
-    """Pull a (k, d^2, d^2) stack of readout effects E_j back onto the two
-    spin modes of rho_spins: M_j with Tr[M_j rho_spins] = Tr[E_j rho_readouts].
-    A mixer U in front of the clicks is the caller's: E_j = U^dag E U.
-
-    The in-mode noise mixes in a renormalized photon-added branch, so it is
-    not a fixed linear map.  Its two norms are computed first from rho_spins (only the
-    reduced state of the two spins matters); with the norms fixed the noise
-    on each readout is X -> (1 - q) X + (q / norm) a^dag X a, whose adjoint
-    a X a^dag acts on the effects.
-    """
-    s = _retrieval_adjoint(d, gamma)
-    if q > 0.0:
-        if not q <= 1.0:
-            raise ValueError("p_noise must be in [0, 1]")
-        sigma = _on_both_modes(rho_spins[None], s.T)[0]
-        for low in _readout_lowering(d):
-            norm = float(np.real(np.trace(low @ low.conj().T @ sigma)))
-            if norm <= 0.0:
-                raise ValueError("cannot add a photon to a readout mode: no headroom below n_max")
-            sigma = (1.0 - q) * sigma + (q / norm) * (low.conj().T @ sigma @ low)
-            effects = (1.0 - q) * effects + (q / norm) * (low @ effects @ low.conj().T)
-    return _on_both_modes(effects, s)
-
-
 def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
-               conditioning: str = "heralded", bell_sign: int = 1,
                max_entries: int = DEFAULT_MAX_ENTRIES) -> tuple[float, FockState]:
     """Retrieval + interference + click of the swap measurement.
 
@@ -359,17 +311,17 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     detector given the heralded quadruple, and the conditional state of the
     two outer spin modes after the click.
 
-    The click effect on read_b1 is pulled back through the swap mixer, the
-    in-mode noise and both retrievals to an operator M on (mem_b1, mem_b2);
-    then p_click * rho_ac = Tr_{b1 b2}[M rho_L (x) rho_R], contracted without
+    The click effect on read_b1 is pulled back through the swap mixer and
+    both retrievals to an operator M on (mem_b1, mem_b2); then
+    p_click * rho_ac = Tr_{b1 b2}[M rho_L (x) rho_R], contracted without
     forming the four-spin state.  max_entries is the size check of
     _link_state on a register that is never built.
     """
-    link = _link_state(params, n_max, conditioning, bell_sign, max_entries)
+    link = _link_state(params, n_max, max_entries)
     reg = ModeRegister(("mem_a", "mem_c"), n_max=n_max, max_entries=max_entries)
     d = reg.dim_per_mode
+    t = link.reshape(d, d, d, d)
     gamma1 = analytic.retrieval_efficiency(params.t1_us, params)
-    q1 = in_mode_noise(params, params.t1_us, conditioning)
     extra1 = detector_extra(params, params.t1_us, params.z_b)
     click = np.repeat(_click_effects(d, params.eta, extra1)[True], d)
     # Constant interferometer offsets are calibrated so the heralded
@@ -377,12 +329,7 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     # (1 + cos theta)/2: the swap mixer carries no phase.
     mixer = _mixer(d)
     effects = np.stack([mixer.conj().T @ (click[:, None] * mixer), np.eye(d * d)])
-
-    # reduced state of (mem_b1, mem_b2): the inner mode of each link
-    t = link.reshape(d, d, d, d)
-    inner = np.multiply.outer(np.einsum("abac->bc", t), np.einsum("abcb->ac", t))
-    inner = inner.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    m_click, m_all = _pull_back(effects, inner, d, gamma1, q1)
+    m_click, m_all = _pull_back(effects, d, gamma1)
 
     def outer(m):
         # sum over (b1, b2, b1', b2') of M[b1 b2, b1' b2'] rho_L[a b1', a' b1]
@@ -406,19 +353,19 @@ def _phase_orders(d: int) -> np.ndarray:
     return (shift[:, None] == np.arange(2 * d - 1)).astype(float)
 
 
-def readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
-                   p_extra: float, thetas: Sequence[float]) -> tuple[list[dict], dict]:
+def readout_joints(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
+                   thetas: Sequence[float]) -> tuple[list[dict], dict]:
     """Joint (detector 1, detector 2) click distributions, keyed by
     JOINT_ORDER, of the two readouts of rho_ac: behind the verification
     mixer at each theta (fringe), and with direct per-channel detection
-    (counting).  Both outer memories are retrieved (gamma), in-mode noise q
-    is added to each readout, and each detector has efficiency eta and
-    extra-click probability p_extra.  The two arms share everything up to
-    the clicks, so their eight effects are pulled back in one stack.
+    (counting).  Both outer memories are retrieved (gamma), and each
+    detector has efficiency eta and extra-click probability p_extra.  The
+    two arms share everything up to the clicks, so their eight effects are
+    pulled back in one stack.
 
     The fringe effects are pulled back at theta = 0 only: the mixer phase is
-    exp(i theta n) on read_c, which commutes through the noise and the
-    retrieval to exp(i theta n_c) on mem_c, so
+    exp(i theta n) on read_c, which commutes through the retrieval to
+    exp(i theta n_c) on mem_c, so
     E_theta[l, k] = E_0[l, k] exp(i theta (n_c(l) - n_c(k))) and each
     probability is a trig polynomial of degree n_max in theta.
     """
@@ -431,7 +378,7 @@ def readout_joints(rho_ac: FockState, gamma: float, q: float, eta: float,
     mixer = _mixer(d)
     effects = np.concatenate([mixer.conj().T @ (diags[:, :, None] * mixer),
                               diags[:, :, None] * np.eye(d * d)])
-    pulled = _pull_back(effects, rho_ac.rho, d, gamma, q)
+    pulled = _pull_back(effects, d, gamma)
     # coeffs[j, k]: weight of exp(i (k - n_max) theta) in effect j
     coeffs = (pulled * rho_ac.rho.T).reshape(len(effects), -1) @ _phase_orders(d)
     phases = np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1)))
@@ -483,8 +430,7 @@ def _spin_block(rho_ac: FockState) -> tuple[np.ndarray, float]:
 
 
 def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = None,
-                  n_max: int = DEFAULT_N_MAX, conditioning: str = "heralded",
-                  bell_sign: int = 1,
+                  n_max: int = DEFAULT_N_MAX,
                   max_entries: int = DEFAULT_MAX_ENTRIES) -> SwapReport:
     """Full quantum simulation of one heralded swap-and-verify attempt.
 
@@ -495,15 +441,13 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
     if thetas is None:
         thetas = default_theta_grid()
     thetas = tuple(float(t) for t in thetas)
-    p_es1, rho_ac = swap_stage(params, n_max, conditioning, bell_sign, max_entries)
+    p_es1, rho_ac = swap_stage(params, n_max, max_entries)
 
     gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
-    q2 = in_mode_noise(params, params.t2_us, conditioning)
     extra2 = detector_extra(params, params.t2_us, params.z_ac)
-    eta = params.eta
 
     p_coinc, p_joint, p_ev1, ev_joint = {}, {}, {}, {}
-    fringe, counting = readout_joints(rho_ac, gamma2, q2, eta, extra2, thetas)
+    fringe, counting = readout_joints(rho_ac, gamma2, params.eta, extra2, thetas)
     for theta, joint in zip(thetas, fringe):
         pev1 = joint[(True, True)] + joint[(True, False)]
         p_ev1[theta] = pev1
@@ -527,7 +471,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
         "p11": float(np.real(block[3, 3])),
     }
     ideal_fringe = np.array([joint[(True, True)] + joint[(True, False)]
-                             for joint in readout_joints(rho_ac, 1.0, 0.0, 1.0, 0.0, thetas)[0]])
+                             for joint in readout_joints(rho_ac, 1.0, 1.0, 0.0, thetas)[0]])
     v_spin = float((ideal_fringe.max() - ideal_fringe.min())
                    / (ideal_fringe.max() + ideal_fringe.min())) \
         if ideal_fringe.max() + ideal_fringe.min() > 0 else 0.0

@@ -28,7 +28,7 @@ converted to doubles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -95,13 +95,15 @@ class ConditionalTables:
 
     p_swap1 is the designated swap-detector click probability given routing;
     fringe_cdf[j] and counting_cdf are cumulative joint distributions over
-    JOINT_ORDER, conditioned on that click.
+    JOINT_ORDER, conditioned on that click.  report is the engine's
+    SwapReport they were read from.
     """
 
     p_swap1: float
     thetas: tuple
     fringe_cdf: np.ndarray   # (n_theta, 4)
     counting_cdf: np.ndarray  # (4,)
+    report: fock.SwapReport = field(compare=False, repr=False)
 
 
 def _joint_cdf(joint: dict) -> np.ndarray:
@@ -115,28 +117,23 @@ def _joint_cdf(joint: dict) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _tables_cached(params: ExperimentParams, thetas: tuple, n_max: int,
-                   conditioning: str) -> ConditionalTables:
-    p_click, rho_ac = fock.swap_stage(params, n_max=n_max, conditioning=conditioning)
-    gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
-    q2 = fock.in_mode_noise(params, params.t2_us, conditioning)
-    extra2 = fock.detector_extra(params, params.t2_us, params.z_ac)
-    fringe, counting = fock.readout_joints(rho_ac, gamma2, q2, params.eta, extra2, thetas)
-    rows = [_joint_cdf(joint) for joint in fringe]
+def _tables_cached(params: ExperimentParams, thetas: tuple) -> ConditionalTables:
+    # one swap_pipeline, so only fock knows how the t2 readout is set up
+    report = fock.swap_pipeline(params, thetas)
     return ConditionalTables(
-        p_swap1=p_click,
+        p_swap1=report.p_es1,
         thetas=thetas,
-        fringe_cdf=np.array(rows) if rows else np.zeros((0, 4)),
-        counting_cdf=_joint_cdf(counting),
+        fringe_cdf=np.array([_joint_cdf(report.ev_joint_given_es1[t])
+                             for t in report.thetas]),
+        counting_cdf=_joint_cdf(report.count_joint_given_es1),
+        report=report,
     )
 
 
-def conditional_tables(params: ExperimentParams, thetas: Sequence[float],
-                       n_max: int = fock.DEFAULT_N_MAX,
-                       conditioning: str = "heralded") -> ConditionalTables:
+def conditional_tables(params: ExperimentParams,
+                       thetas: Sequence[float]) -> ConditionalTables:
     """Build (or fetch cached) conditional click tables for a theta grid."""
-    key = tuple(float(t) for t in thetas)
-    return _tables_cached(params, key, int(n_max), conditioning)
+    return _tables_cached(params, tuple(float(t) for t in thetas))
 
 
 @dataclass(frozen=True)
@@ -246,7 +243,6 @@ def _fringe_fit(thetas: np.ndarray, k: np.ndarray, n: np.ndarray):
 
 def run_batch(params: ExperimentParams, n_trials: int,
               theta_grid: Optional[Sequence[float]] = None, seed: int = 0,
-              n_max: int = fock.DEFAULT_N_MAX, conditioning: str = "heralded",
               stream_offset: int = 0) -> SwapStatistics:
     """Run n_trials repetitions and accumulate SwapStatistics.
 
@@ -274,11 +270,10 @@ def run_batch(params: ExperimentParams, n_trials: int,
     p1 = analytic.single_mode_herald_probability(params)
     words = _herald_ticks(m) * _WORDS_PER_TICK
     aborted_all = params.cutoff_us is not None and params.t2_us > params.cutoff_us
-    # no trial can reach the swap without heralds or past the cutoff, and
-    # the heralded engine state is undefined at chi=0 anyway
+    # no trial can reach the swap without heralds or past the cutoff
     tables = None
     if p1 > 0 and not aborted_all:
-        tables = conditional_tables(params, thetas, n_max, conditioning)
+        tables = conditional_tables(params, thetas)
 
     n_th = len(thetas)
     counters = dict(n_aborted=n_trials if aborted_all else 0, n_eg_ab1=0,
@@ -496,7 +491,6 @@ def _point_params(params: ExperimentParams, axis: str, value: float) -> Experime
 def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
           n_trials: int, theta_grid: Optional[Sequence[float]] = None,
           seed: int = 0, observable: str = "concurrence",
-          n_max: int = fock.DEFAULT_N_MAX, conditioning: str = "heralded",
           name: Optional[str] = None) -> CurveSeries:
     """One run_batch per value, emitted as CurveSeries rows (x, y, sigma).
 
@@ -516,7 +510,6 @@ def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
         p_i = _point_params(params, axis, value)
         grid_i = [value] if axis == "theta" else theta_grid
         stats = run_batch(p_i, n_trials, theta_grid=grid_i, seed=seed,
-                          n_max=n_max, conditioning=conditioning,
                           stream_offset=2 * i)
         rows.append((value, *_observable(stats, observable)))
 
@@ -532,7 +525,9 @@ def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
             "n_trials": n_trials,
             "seed": seed,
             "theta_grid": [float(t) for t in theta_grid] if theta_grid is not None else None,
-            "conditioning": conditioning,
+            # the heralded link is the only link model; the key stays so
+            # that sweep files written before keep their bytes
+            "conditioning": "heralded",
             "source": "monte-carlo",
         },
     )

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from dlcz_swap import cli, fock
+from dlcz_swap import cli, fock, protocol
 from dlcz_swap.params import experiment_defaults, serialize_config, with_overrides
 from dlcz_swap.series import read_csv, read_json
 
@@ -133,6 +133,32 @@ def test_fig3_engine_series_matches_pipeline(tmp_path):
                                   rel=1e-9, abs=1e-12)
     assert rows[0][0] == 2.0
     assert rows[0][1] == pytest.approx(0.32151, abs=1e-5)
+
+
+def test_fig3_runs_one_swap_stage_per_point(tmp_path, monkeypatch):
+    # the engine series reads the build the MC sweep made at each of the
+    # 11 t2 points, so each point runs one swap stage
+    calls = []
+    swap_stage = fock.swap_stage
+    monkeypatch.setattr(fock, "swap_stage",
+                        lambda *args, **kw: calls.append(1) or swap_stage(*args, **kw))
+    protocol._tables_cached.cache_clear()
+    assert cli.main(["figures", "fig3", "--out", str(tmp_path), "--format", "json",
+                     "--trials", "4000"]) == 0
+    assert len(calls) == 11
+
+
+@pytest.mark.parametrize("fig", ["fig3", "fig4"])
+def test_figures_at_chi_zero(tmp_path, fig):
+    # chi = 0 is the noise-free limit of the heralded link: the engine
+    # series is defined, and nothing heralds, so no fourfold is expected
+    assert cli.main(["figures", fig, "--out", str(tmp_path), "--format", "json",
+                     "--trials", "2000", "--set", "chi=0"]) == 0
+    curves = {c.name: c for c in read_json(str(tmp_path / f"{fig}.json"))}
+    if fig == "fig3":
+        assert all(math.isfinite(y) for _, y, _ in curves["concurrence_engine"].rows)
+    else:
+        assert all(y == 0.0 for _, y, _ in curves["fourfold_expected"].rows)
 
 
 def test_fig4_multiplexing_linear(tmp_path):

@@ -6,6 +6,7 @@ The elementary operators are those of the Schrödinger-picture oracle
 pair-source weights), not against the implementation's own matrices.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from dlcz_swap.fock import (
     ModeRegister,
     detector_extra,
     heralded_spin_state,
-    in_mode_noise,
     readout_joints,
     swap_pipeline,
     swap_stage,
@@ -295,13 +295,6 @@ def test_wootters_validates():
 
 # -- noise bookkeeping ------------------------------------------------------
 
-def test_in_mode_noise_conditioning(defaults):
-    assert in_mode_noise(defaults, 10.0, "heralded") == 0.0
-    q = in_mode_noise(defaults, 10.0, "ideal")
-    gamma = defaults.gamma0 * math.exp(-10.0 / defaults.tau0_us)
-    assert q == pytest.approx(defaults.chi * gamma, rel=1e-12)
-
-
 def test_detector_extra(defaults):
     t = 5.0
     gamma = defaults.gamma0 * math.exp(-t / defaults.tau0_us)
@@ -352,24 +345,14 @@ def test_fringe_min_at_pi(report_defaults):
     assert max(values) == pytest.approx(r.p_coinc[0.0], rel=1e-12)
 
 
-def test_bell_sign_parity(defaults):
-    # flipping the sign of BOTH link states leaves the swapped pair (and so
-    # the fringe) unchanged: the signs multiply out in the Bell measurement
-    plus = swap_pipeline(defaults, thetas=(0.0, math.pi), conditioning="ideal")
-    minus = swap_pipeline(defaults, thetas=(0.0, math.pi), conditioning="ideal",
-                          bell_sign=-1)
-    assert plus.p_coinc[0.0] == pytest.approx(minus.p_coinc[0.0], rel=1e-12)
-    assert plus.p_coinc[math.pi] == pytest.approx(minus.p_coinc[math.pi], rel=1e-12)
-
-
 def test_ideal_limit_exact(defaults):
-    # chi = 0: the ideal preparation takes over and no multi-pair photons or
-    # leakage exist anywhere downstream
+    # chi = 0: each link holds exactly one excitation, and no multi-pair
+    # photons or leakage exist anywhere downstream
     ideal = with_overrides(
         defaults, chi=0.0, z_b=0.0, z_ac=0.0, xi_se=0.0,
         gamma0=1.0, eta=1.0, t1_us=0.0, t2_us=1e-9, tau0_us=1e9,
     )
-    r = swap_pipeline(ideal, thetas=(0.0, math.pi / 2, math.pi), conditioning="ideal")
+    r = swap_pipeline(ideal, thetas=(0.0, math.pi / 2, math.pi))
     # one of four herald branches is photonless, the rest click half the time
     assert r.p_es1 == pytest.approx(0.375, abs=1e-9)
     # the bunching branch leaves both outer memories empty
@@ -391,7 +374,7 @@ def test_ideal_limit_weak_detection_vacuum(defaults):
         defaults, chi=0.0, z_b=0.0, z_ac=0.0, xi_se=0.0,
         gamma0=1.0, eta=1e-6, t1_us=0.0, t2_us=1e-9, tau0_us=1e9,
     )
-    _, rho_ac = swap_stage(ideal, conditioning="ideal")
+    _, rho_ac = swap_stage(ideal)
     p00 = float(np.real(rho_ac.rho[0, 0]))
     assert p00 == pytest.approx(0.5, abs=1e-3)
 
@@ -429,7 +412,7 @@ def test_no_click_rate_mixer_invariant(defaults):
     _, rho_ac = swap_stage(defaults)
     gamma2 = defaults.gamma0 * math.exp(-defaults.t2_us / defaults.tau0_us)
     extra2 = detector_extra(defaults, defaults.t2_us, defaults.z_ac)
-    fringe, count = readout_joints(rho_ac, gamma2, 0.0, defaults.eta, extra2,
+    fringe, count = readout_joints(rho_ac, gamma2, defaults.eta, extra2,
                                    (0.0, 1.0, math.pi, 4.5))
     for joint in fringe:
         assert joint[(False, False)] == pytest.approx(
@@ -445,17 +428,18 @@ def test_truncation_as_number(defaults):
     assert abs(p[4] - p[3]) < 1e-5
 
 
-@pytest.mark.parametrize("conditioning", ["heralded", "ideal"])
-def test_entry_cap_applies_to_herald_register(defaults, conditioning):
-    # four modes at n_max = 5 need 6**8 > 1e6 entries
+@pytest.mark.parametrize("chi", [None, 0.0], ids=["heralded", "ideal"])
+def test_entry_cap_applies_to_herald_register(defaults, chi):
+    # four modes at n_max = 5 need 6**8 > 1e6 entries, at chi = 0 as well
+    params = defaults if chi is None else with_overrides(defaults, chi=chi)
     with pytest.raises(DimensionError):
-        swap_stage(defaults, n_max=5, conditioning=conditioning)
-    swap_stage(defaults, n_max=5, conditioning=conditioning, max_entries=6 ** 8)
+        swap_stage(params, n_max=5)
+    swap_stage(params, n_max=5, max_entries=6 ** 8)
 
 
 def test_operator_caches_bounded():
     caches = (oracles._beam_splitter_unitary, oracles._pair_source_unitary,
-              fock._mixer, fock._readout_lowering, fock._phase_orders)
+              fock._mixer, fock._phase_orders)
     for cache in caches:
         cache.cache_clear()
     state = vacuum(ModeRegister(("spin", "light")))
@@ -481,7 +465,7 @@ def test_retrieval_adjoint_matches_expm(d):
 def test_new_storage_times_need_no_exponential(defaults, monkeypatch):
     # a new t2 needs the fixed 50/50 mixer only, and each detected readout
     # is one pull-back: swap, detected arms and ideal fringe per pipeline,
-    # swap and detected arms per table build
+    # and a table build is one pipeline
     pulls = []
     pull_back = fock._pull_back
     monkeypatch.setattr(fock, "_pull_back",
@@ -496,7 +480,7 @@ def test_new_storage_times_need_no_exponential(defaults, monkeypatch):
         assert len(pulls) == 3
         pulls.clear()
         protocol.conditional_tables(params, fock.default_theta_grid())
-        assert len(pulls) == 2
+        assert len(pulls) == 3
     # the mixer cache gains no entry over the fresh t2 points
     assert fock._mixer.cache_info().currsize == mixers.currsize
     assert fock._mixer.cache_info().misses == mixers.misses
@@ -522,9 +506,18 @@ def test_replaced_paths_live_only_in_the_oracle():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(protocol.ConditionalTables, "theta_row")
     for name in ("verification_fringe", "verification_joint", "counting_joint",
-                 "_readout_joints", "_JOINT_KEYS"):
+                 "_readout_joints", "_JOINT_KEYS", "in_mode_noise", "_readout_lowering"):
         assert not hasattr(fock, name), name
     assert protocol.JOINT_ORDER is fock.JOINT_ORDER
+    # one link model: chi = 0 selects its noise-free limit, so no signature
+    # chooses a conditioning or a Bell sign, and the tables use one cutoff
+    public = [getattr(m, name) for m in (dlcz_swap, fock, protocol) for name in m.__all__]
+    for func in filter(inspect.isfunction, public):
+        names = inspect.signature(func).parameters.keys()
+        assert not {"conditioning", "bell_sign"} & names, func.__name__
+    for func in (protocol.conditional_tables, protocol._tables_cached,
+                 protocol.run_batch, protocol.sweep):
+        assert "n_max" not in inspect.signature(func).parameters
 
 
 # -- staged Schroedinger oracle ----------------------------------------------
@@ -555,7 +548,7 @@ def _oracle_link(params, spin1, spin2, n_max):
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 def test_link_matches_staged_oracle(defaults, boosted, n_max):
     for params in (defaults, boosted, with_overrides(defaults, chi=0.3, eta=0.9)):
-        got = fock._link_state(params, n_max, "heralded", 1, fock.DEFAULT_MAX_ENTRIES)
+        got = fock._link_state(params, n_max, fock.DEFAULT_MAX_ENTRIES)
         want = _oracle_link(params, "mem_a", "mem_b1", n_max).rho
         assert np.abs(got - want).max() <= ORACLE_TOL
 
@@ -567,84 +560,96 @@ def test_link_matches_staged_oracle_at_small_chi(defaults):
     for chi in (1e-6, 1e-9):
         params = with_overrides(defaults, chi=chi)
         for n_max in (1, 2, 3, 4):
-            got = fock._link_state(params, n_max, "heralded", 1, fock.DEFAULT_MAX_ENTRIES)
+            got = fock._link_state(params, n_max, fock.DEFAULT_MAX_ENTRIES)
             want = _oracle_link(params, "mem_a", "mem_b1", n_max).rho
             assert np.abs(got - want).max() <= ORACLE_TOL
 
 
-def _oracle_spins(params, conditioning, bell_sign, n_max):
+def _oracle_spins(params, n_max):
     labels = ("mem_a", "mem_b1", "mem_b2", "mem_c")
     reg = ModeRegister(labels, n_max=n_max)
-    if conditioning == "heralded":
+    if params.chi > 0.0:
         left = _oracle_link(params, "mem_a", "mem_b1", n_max)
         right = _oracle_link(params, "mem_b2", "mem_c", n_max)
         return FockState(reg, np.kron(left.rho, right.rho))
+    # chi = 0 heralds nothing in the oracle: the noise-free pairs
+    # (|10> - |01>)/sqrt(2) on (mem_a, mem_b1) and (mem_b2, mem_c), explicitly
     d = reg.dim_per_mode
     psi = np.zeros(reg.dim, dtype=np.complex128)
-    for occupations, amp in (((1, 0, 1, 0), 0.5), ((1, 0, 0, 1), 0.5 * bell_sign),
-                             ((0, 1, 1, 0), 0.5 * bell_sign), ((0, 1, 0, 1), 0.5)):
+    for occupations, amp in (((1, 0, 1, 0), 0.5), ((1, 0, 0, 1), -0.5),
+                             ((0, 1, 1, 0), -0.5), ((0, 1, 0, 1), 0.5)):
         psi[np.ravel_multi_index(occupations, (d,) * 4)] = amp
     return FockState(reg, np.outer(psi, psi.conj()))
 
 
-def _oracle_swap_stage(params, conditioning, bell_sign, n_max=2):
-    state = _attach_vacuum(_oracle_spins(params, conditioning, bell_sign, n_max),
-                           ("read_b1", "read_b2"))
+def test_chi_zero_is_the_noise_free_limit(defaults):
+    # the herald removes the vacuum term of c (x) c, so chi = 0 is the limit
+    # of the heralded link, reached at order chi
+    small = 1e-9
+    for eta in (1.0, 0.5, 1e-6):
+        for n_max in (1, 2, 3, 4):
+            at_zero = fock._link_state(with_overrides(defaults, chi=0.0, eta=eta),
+                                       n_max, fock.DEFAULT_MAX_ENTRIES)
+            near = fock._link_state(with_overrides(defaults, chi=small, eta=eta),
+                                    n_max, fock.DEFAULT_MAX_ENTRIES)
+            assert np.abs(at_zero - near).max() <= 2 * small
+    for n_max in (1, 2, 3):
+        params = with_overrides(defaults, chi=0.0)
+        got = heralded_spin_state(params, n_max=n_max).rho
+        assert np.abs(got - _oracle_spins(params, n_max).rho).max() <= 1e-15
+
+
+def _oracle_swap_stage(params, n_max=2):
+    state = _attach_vacuum(_oracle_spins(params, n_max), ("read_b1", "read_b2"))
     gamma1 = params.gamma0 * math.exp(-params.t1_us / params.tau0_us)
     state = apply_retrieval(state, "mem_b1", "read_b1", gamma1)
     state = apply_retrieval(state, "mem_b2", "read_b2", gamma1)
-    q1 = in_mode_noise(params, params.t1_us, conditioning)
-    if q1 > 0.0:
-        state = inject_noise(state, "read_b1", q1)
-        state = inject_noise(state, "read_b2", q1)
     state = apply_beam_splitter(state, "read_b1", "read_b2")
     extra1 = detector_extra(params, params.t1_us, params.z_b)
     click, _ = measure_click(state, "read_b1", params.eta, p_extra=extra1)
     return click.probability, partial_trace(click.state, ("mem_a", "mem_c"))
 
 
-def _oracle_readout(rho_ac, gamma, q, eta, p_extra, theta=None):
+def _oracle_readout(rho_ac, gamma, eta, p_extra, theta=None):
     state = _attach_vacuum(rho_ac, ("read_a", "read_c"))
     state = apply_retrieval(state, "mem_a", "read_a", gamma)
     state = apply_retrieval(state, "mem_c", "read_c", gamma)
-    if q > 0.0:
-        state = inject_noise(state, "read_a", q)
-        state = inject_noise(state, "read_c", q)
     if theta is not None:
         state = apply_beam_splitter(state, "read_a", "read_c", phase=theta)
     return joint_clicks(state, "read_a", "read_c", eta, p_extra=p_extra)
 
 
-@pytest.mark.parametrize("conditioning", ["heralded", "ideal"])
-@pytest.mark.parametrize("bell_sign", [1, -1])
-def test_swap_stage_matches_staged_oracle(defaults, boosted, conditioning, bell_sign):
+# "ideal" is chi = 0, the noise-free pair
+@pytest.mark.parametrize("chi", [None, 0.0], ids=["heralded", "ideal"])
+def test_swap_stage_matches_staged_oracle(defaults, boosted, chi):
     for params in (defaults, boosted):
-        p, rho_ac = swap_stage(params, conditioning=conditioning, bell_sign=bell_sign)
-        p_ref, rho_ref = _oracle_swap_stage(params, conditioning, bell_sign)
+        if chi is not None:
+            params = with_overrides(params, chi=chi)
+        p, rho_ac = swap_stage(params)
+        p_ref, rho_ref = _oracle_swap_stage(params)
         assert abs(p - p_ref) <= ORACLE_TOL
         assert rho_ac.register.labels == rho_ref.register.labels
         assert np.abs(rho_ac.rho - rho_ref.rho).max() <= ORACLE_TOL
 
 
-@pytest.mark.parametrize("conditioning", ["heralded", "ideal"])
-def test_readout_joints_match_staged_oracle(boosted, conditioning):
-    params = boosted
-    _, rho_ac = swap_stage(params, conditioning=conditioning)
+@pytest.mark.parametrize("chi", [None, 0.0], ids=["heralded", "ideal"])
+def test_readout_joints_match_staged_oracle(boosted, chi):
+    params = boosted if chi is None else with_overrides(boosted, chi=chi)
+    _, rho_ac = swap_stage(params)
     # a phase on mem_c makes rho_ac complex: the real rho_ac has a fringe
     # symmetric in theta and cannot tell the sign of the mixer phase
     d = rho_ac.register.dim_per_mode
     phase = np.exp(0.9j * (np.arange(d * d) % d))
     twisted = FockState(rho_ac.register, np.outer(phase, phase.conj()) * rho_ac.rho)
     gamma2 = params.gamma0 * math.exp(-params.t2_us / params.tau0_us)
-    q2 = in_mode_noise(params, params.t2_us, conditioning)
     extra2 = detector_extra(params, params.t2_us, params.z_ac)
     thetas = np.random.default_rng(17).uniform(0.0, 2.0 * math.pi, 4)
     for state in (rho_ac, twisted):
-        fringe, counting = readout_joints(state, gamma2, q2, params.eta, extra2, thetas)
+        fringe, counting = readout_joints(state, gamma2, params.eta, extra2, thetas)
         for theta, got in zip(thetas, fringe):
-            want = _oracle_readout(state, gamma2, q2, params.eta, extra2, theta)
+            want = _oracle_readout(state, gamma2, params.eta, extra2, theta)
             for key, value in want.items():
                 assert abs(got[key] - value) <= ORACLE_TOL
-        want = _oracle_readout(state, gamma2, q2, params.eta, extra2)
+        want = _oracle_readout(state, gamma2, params.eta, extra2)
         for key, value in want.items():
             assert abs(counting[key] - value) <= ORACLE_TOL

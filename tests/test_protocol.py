@@ -247,16 +247,14 @@ def test_visibility_recovers_engine_fringe(boosted):
 
 
 def test_destructive_null(boosted):
-    # at theta = pi the ideal-conditioning fringe interferes destructively
-    batch = run_batch(boosted, 200_000, theta_grid=[math.pi], seed=23,
-                      conditioning="ideal")
-    tables = conditional_tables(boosted, (math.pi,), conditioning="ideal")
+    # at theta = pi the heralded fringe interferes destructively
+    batch = run_batch(boosted, 200_000, theta_grid=[math.pi], seed=23)
+    tables = conditional_tables(boosted, (math.pi,))
     null = tables.fringe_cdf[0, 1]
-    peak_tables = conditional_tables(boosted, (0.0,), conditioning="ideal")
-    peak = peak_tables.fringe_cdf[0, 1]
-    # the retrieved multi-pair noise (chi * gamma in-mode, ~0.07 per channel
-    # at this deliberately hot chi) fills much of the null in; the fringe
-    # survives and the sampler must track the engine value exactly
+    peak = conditional_tables(boosted, (0.0,)).fringe_cdf[0, 1]
+    # the multi-pair terms of the heralded links (order chi, deliberately
+    # hot here) fill much of the null in; the fringe survives and the
+    # sampler must track the engine value exactly
     assert null < 0.6 * peak
     rate = batch.fourfold / max(batch.n_es, 1)
     se = math.sqrt(max(null * (1 - null), 1e-12) / max(batch.n_es, 1))
