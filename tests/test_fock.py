@@ -599,8 +599,19 @@ def test_chi_zero_is_the_noise_free_limit(defaults):
         assert np.abs(got - _oracle_spins(params, n_max).rho).max() <= 1e-15
 
 
-def _oracle_swap_stage(params, n_max=2):
-    state = _attach_vacuum(_oracle_spins(params, n_max), ("read_b1", "read_b2"))
+def _flip_link_signs(spins):
+    """Phase (-1)^(n_b1 + n_c): turns each chi = 0 pair |10> - |01> into |10> + |01>."""
+    d = spins.register.dim_per_mode
+    occ = np.indices((d,) * 4).reshape(4, -1)
+    phase = (-1.0) ** (occ[1] + occ[3])
+    return FockState(spins.register, np.outer(phase, phase) * spins.rho)
+
+
+def _oracle_swap_stage(params, bell_sign=-1, n_max=2):
+    spins = _oracle_spins(params, n_max)
+    if bell_sign == 1:
+        spins = _flip_link_signs(spins)
+    state = _attach_vacuum(spins, ("read_b1", "read_b2"))
     gamma1 = params.gamma0 * math.exp(-params.t1_us / params.tau0_us)
     state = apply_retrieval(state, "mem_b1", "read_b1", gamma1)
     state = apply_retrieval(state, "mem_b2", "read_b2", gamma1)
@@ -619,14 +630,17 @@ def _oracle_readout(rho_ac, gamma, eta, p_extra, theta=None):
     return joint_clicks(state, "read_a", "read_c", eta, p_extra=p_extra)
 
 
-# "ideal" is chi = 0, the noise-free pair
+# "ideal" is chi = 0, the noise-free pair.  bell_sign = 1 flips the sign of
+# both links in the oracle, a local phase on mem_b1 and mem_c that the swapped
+# pair must not see, so swap_stage matches the oracle for either sign.
 @pytest.mark.parametrize("chi", [None, 0.0], ids=["heralded", "ideal"])
-def test_swap_stage_matches_staged_oracle(defaults, boosted, chi):
+@pytest.mark.parametrize("bell_sign", [1, -1])
+def test_swap_stage_matches_staged_oracle(defaults, boosted, chi, bell_sign):
     for params in (defaults, boosted):
         if chi is not None:
             params = with_overrides(params, chi=chi)
         p, rho_ac = swap_stage(params)
-        p_ref, rho_ref = _oracle_swap_stage(params)
+        p_ref, rho_ref = _oracle_swap_stage(params, bell_sign)
         assert abs(p - p_ref) <= ORACLE_TOL
         assert rho_ac.register.labels == rho_ref.register.labels
         assert np.abs(rho_ac.rho - rho_ref.rho).max() <= ORACLE_TOL
