@@ -4,18 +4,21 @@ Four spin modes (two memory pairs) and their readout modes are modelled
 exactly on a photon-number-truncated Hilbert space: pair sources, beam
 splitters, retrieval as a partial spin-to-light transfer, incoherent channel
 noise, and non-number-resolving click detection.  The swap pipeline
-attaches no optical mode to a state: the heralded link is a closed form (one
-Hadamard product), and each later click effect is pulled back onto the spin
-modes (Heisenberg picture).  The swap click becomes an operator on (mem_b1, mem_b2)
-contracted directly with the two link states, and the verification clicks
-become operators on (mem_a, mem_c) whose dependence on the mixer phase
-theta is a diagonal phase, so nothing larger than a few d^2 x d^2 matrices
-(d = n_max + 1) is built.  Retrieval enters through its exact binomial
-amplitudes, so a new storage time needs no matrix exponential.  Distinct
+attaches no optical mode to a spin state: the heralded link is a closed form
+(one Hadamard product), and the swap click effect is pulled back onto
+(mem_b1, mem_b2) (Heisenberg picture) and contracted directly with the two
+link states.  The verification readout goes the other way: rho_ac is
+forwarded once through both retrievals to the readout state R, and each
+click probability is a contraction of R with a fixed per-cutoff table, whose
+dependence on the mixer phase theta is split into its 2 n_max + 1 phase
+orders, so a parameter point builds nothing larger than a few d^2 x d^2
+matrices (d = n_max + 1).  Retrieval enters through its exact binomial
+amplitudes, so a new storage time needs no matrix exponential, and every
+operator that depends on d alone is built once per cutoff.  Distinct
 multiplexed mode indices never interfere, so one quadruple is the whole
 quantum problem and multiplexing is combinatorial (protocol.py).  The
-Schrödinger-picture reference these pull-backs are tested against lives in
-the test suite.
+Schrödinger-picture reference these maps are tested against lives in the
+test suite.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import analytic
-from .params import ExperimentParams
+from .params import ExperimentParams, ParamError
 
 __all__ = [
     "DEFAULT_N_MAX",
@@ -163,6 +166,14 @@ def _mixer(d: int) -> np.ndarray:
     return expm(math.pi / 4 * (np.kron(a, a.T) - np.kron(a.T, a)))
 
 
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _mixer_projectors(d: int) -> np.ndarray:
+    """T[i] = the entries of U^dag |i><i| U for the 50/50 mixer U, so that a
+    diagonal effect diag(x) behind the mixer is (x @ T).reshape(d^2, d^2)."""
+    u = _mixer(d)
+    return (u.conj()[:, :, None] * u[:, None, :]).reshape(d * d, -1)
+
+
 def _click_effects(d: int, eta: float, p_extra: float) -> dict:
     """Diagonals of the click (True) and no-click (False) POVM elements on
     one mode: no click is (1 - p_extra)(1 - eta)^n, p_extra being the
@@ -239,9 +250,8 @@ def _link_state(params: ExperimentParams, n_max: int, max_entries: int) -> np.nd
     else:
         psi = np.zeros(d * d)
         psi[[1, d]] = 1.0
-    u = _mixer(d)
     click = np.repeat(_click_effects(d, params.eta, 0.0)[True], d)
-    rho = np.outer(psi, psi) * (u.conj().T @ (click[:, None] * u)).T
+    rho = np.outer(psi, psi) * (click @ _mixer_projectors(d)).reshape(d * d, d * d).T
     p_herald = float(np.real(np.trace(rho)))
     if p_herald <= 1e-300:
         raise ValueError("herald click has zero probability")
@@ -261,13 +271,27 @@ def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
     return min(params.eta * (z + leak), 1.0 - 1e-12)
 
 
-# -- effect operators ------------------------------------------------------
+# -- readout stages ----------------------------------------------------------
 #
 # A readout stage acts on two spin modes: retrieval of each into its own
 # vacuum readout mode, an optional mixer on the two readouts, and clicks.
-# Rather than evolving the state, each click effect E on the readouts is
-# pulled back to the spins as the operator M with
-# Tr[M rho_spins] = Tr[E rho_readouts] (Heisenberg picture).
+# The retrieval map s relates a click effect E to its pull-back M onto the
+# spins, Tr[M rho_spins] = Tr[E R], R the readout state rho_spins forwards
+# to.  The swap stage pulls back its one effect (met by two links); the
+# verification forwards its one state (met by eight effects).
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _retrieval_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Binomial weights and the exponents of (1 - gamma) (photons left in the
+    spin) and gamma (photons moved out) of the entries s[(n, k), (o, q)] of
+    _retrieval_adjoint."""
+    n, k, o, q = np.indices((d,) * 4).reshape(4, -1)
+    left = n - o
+    valid = (left == k - q) & (left >= 0)
+    comb = np.array([[math.comb(x, y) for y in range(d)] for x in range(d)], dtype=float)
+    tables = (np.sqrt(comb[n, o] * comb[k, q]) * valid, left * valid, (o + q) / 2)
+    return tuple(table.reshape(d * d, d * d) for table in tables)
+
 
 def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     """Adjoint of retrieving one spin (then traced) into its vacuum readout:
@@ -275,32 +299,20 @@ def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     amplitudes w[a, o, n] = <a, o| U |n, 0> = delta(a + o, n) sqrt(C(n, o))
     (1 - gamma)^(a/2) gamma^(o/2) of the retrieval's partial swap U, a beam
     splitter of angle asin(sqrt(gamma)) (Campos, Saleh & Teich, PRA 40, 1371
-    (1989)).  U conserves the photon number and a
-    vacuum readout keeps it at n <= n_max, where the truncated U is exact.
-    s is real; the forward map is s^T."""
+    (1989)).  So s = sqrt(C(n, o) C(k, q)) (1 - gamma)^a gamma^((o + q)/2)
+    where a = n - o = k - q >= 0, and 0 elsewhere.  U conserves the photon
+    number and a vacuum readout keeps it at n <= n_max, where the truncated
+    U is exact.  s is real; the forward map is s^T."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma_t must be in [0, 1]")
-    w = np.zeros((d, d, d))
-    for n in range(d):
-        for o in range(n + 1):
-            w[n - o, o, n] = math.sqrt(math.comb(n, o) * (1.0 - gamma) ** (n - o) * gamma ** o)
-    return np.einsum("aon,aqk->nkoq", w, w).reshape(d * d, d * d)
+    weight, left, moved = _retrieval_tables(d)
+    return weight * (1.0 - gamma) ** left * gamma ** moved
 
 
-def _pull_back(effects: np.ndarray, d: int, gamma: float) -> np.ndarray:
-    """Pull a (k, d^2, d^2) stack of readout effects E_j back onto the two
-    spin modes: M_j with Tr[M_j rho_spins] = Tr[E_j rho_readouts], retrieval
-    gamma on each mode.  A mixer U in front of the clicks is the caller's:
-    E_j = U^dag E U.
-
-    With s the one-mode retrieval adjoint, M[(n m), (k l)] = s[(n k), (o q)]
-    s[(m l), (p r)] E[(o p), (q r)]: two batched matmuls on the
-    (mode 1, mode 2) layout.
-    """
-    s = _retrieval_adjoint(d, gamma)
-    x = effects.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
-    y = s @ x @ s.T
-    return y.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
+def _swap_layout(m: np.ndarray, d: int) -> np.ndarray:
+    """[(n m), (k l)] -> [(n k), (m l)] for an operator on two d-level modes
+    (its own inverse): the layout on which s acts on one mode at a time."""
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
@@ -311,46 +323,87 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     detector given the heralded quadruple, and the conditional state of the
     two outer spin modes after the click.
 
-    The click effect on read_b1 is pulled back through the swap mixer and
-    both retrievals to an operator M on (mem_b1, mem_b2); then
-    p_click * rho_ac = Tr_{b1 b2}[M rho_L (x) rho_R], contracted without
-    forming the four-spin state.  max_entries is the size check of
-    _link_state on a register that is never built.
+    Only the click effect on read_b1 is pulled back, through the swap mixer
+    and both retrievals, to an operator M on (mem_b1, mem_b2); then
+    p_click * rho_ac = Tr_{b1 b2}[M rho_L (x) rho_R], two matmuls on the
+    reshaped links without forming the four-spin state.  A click of zero
+    probability leaves the state unmeasured: the identity pulls back to the
+    identity, so rho_ac is the product of the two outer marginals.
+    max_entries is the size check of _link_state (a register never built).
     """
     link = _link_state(params, n_max, max_entries)
     reg = ModeRegister(("mem_a", "mem_c"), n_max=n_max, max_entries=max_entries)
     d = reg.dim_per_mode
-    t = link.reshape(d, d, d, d)
     gamma1 = analytic.retrieval_efficiency(params.t1_us, params)
     extra1 = detector_extra(params, params.t1_us, params.z_b)
     click = np.repeat(_click_effects(d, params.eta, extra1)[True], d)
     # Constant interferometer offsets are calibrated so the heralded
     # verification fringe peaks at theta = 0, matching the closed-form
     # (1 + cos theta)/2: the swap mixer carries no phase.
-    mixer = _mixer(d)
-    effects = np.stack([mixer.conj().T @ (click[:, None] * mixer), np.eye(d * d)])
-    m_click, m_all = _pull_back(effects, d, gamma1)
-
-    def outer(m):
-        # sum over (b1, b2, b1', b2') of M[b1 b2, b1' b2'] rho_L[a b1', a' b1]
-        # rho_R[b2' c, b2 c'], summed over (b1, b1') first
-        x = np.einsum("ijkl,akei->jlae", m.reshape(d, d, d, d), t)
-        return np.einsum("jlae,lcjf->acef", x, t).reshape(d * d, d * d)
-
-    rho = outer(m_click)
+    effect = (click @ _mixer_projectors(d)).reshape(d * d, d * d)
+    # on the layout of _swap_layout, [(a a'), (b1 b1')] for the left link,
+    # the partial trace is pair @ M^T @ pair, and M^T = s E^T s^T there
+    s = _retrieval_adjoint(d, gamma1)
+    m = s @ _swap_layout(effect.T, d) @ s.T
+    pair = _swap_layout(link, d)
+    rho = _swap_layout(pair @ m @ pair, d)
     p_click = float(np.real(np.trace(rho)))
     if p_click <= 1e-300:
-        return 0.0, FockState(reg, outer(m_all))
+        t = link.reshape(d, d, d, d)
+        marginals = np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)
+        return 0.0, FockState(reg, np.kron(*marginals))
     return p_click, FockState(reg, rho / p_click)
 
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _phase_orders(d: int) -> np.ndarray:
-    """0/1 map from the d^4 entries [l, k] of a (mem_a, mem_c) operator to
-    the order n_c(l) - n_c(k) + n_max of their mixer phase, one of 2 n_max + 1."""
+    """0/1 map from the d^4 entries [l, k] of a (mode 1, mode 2) operator to
+    the order n_2(l) - n_2(k) + n_max of their mixer phase, one of 2 n_max + 1."""
     n_c = np.arange(d * d) % d
     shift = (n_c[:, None] - n_c[None, :]).ravel() + d - 1
     return (shift[:, None] == np.arange(2 * d - 1)).astype(float)
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _fringe_table(d: int) -> np.ndarray:
+    """B[e, (i, k)]: entry e of U^dag |i><i| U (U the verification mixer) in
+    phase order k, so that the phase-order coefficients of
+    Tr[U^dag diag(x) U R] are x @ (R^T.ravel() @ B).reshape(d^2, 2 n_max + 1)."""
+    return (_mixer_projectors(d).T[:, :, None] * _phase_orders(d)[:, None, :]).reshape(d ** 4, -1)
+
+
+def _joint_diags(d: int, eta: float, p_extra: float) -> np.ndarray:
+    """diags[j]: the (port 1, port 2) click effect of JOINT_ORDER[j], a diagonal."""
+    port = _click_effects(d, eta, p_extra)
+    ports = np.array([port[True], port[False]])
+    return (ports[:, None, :, None] * ports[None, :, None, :]).reshape(4, d * d)
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _ideal_fringe_map(d: int) -> np.ndarray:
+    """F with rho.T.ravel() @ F the phase-order coefficients of the spin-level
+    fringe P(detector 1 clicks): at gamma = eta = 1 and p_extra = 0 the
+    retrieval is the identity and the readout state is rho_ac itself."""
+    detector_1 = _joint_diags(d, 1.0, 0.0)[:2].sum(axis=0)
+    return detector_1 @ _fringe_table(d).reshape(d ** 4, d * d, -1)
+
+
+def _fringe_phases(thetas: Sequence[float], n_max: int) -> np.ndarray:
+    """exp(i theta (k - n_max)) for each theta and phase order k."""
+    if len(thetas) == 0:
+        raise ParamError("theta grid must be non-empty")
+    return np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1)))
+
+
+def _readout(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
+             phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """readout_joints as arrays over JOINT_ORDER: (fringe, counting)."""
+    d = rho_ac.register.dim_per_mode
+    diags = _joint_diags(d, eta, p_extra)
+    s = _retrieval_adjoint(d, gamma)
+    readout = _swap_layout(s.T @ _swap_layout(rho_ac.rho, d) @ s, d)
+    coeffs = diags @ (readout.T.ravel() @ _fringe_table(d)).reshape(d * d, -1)
+    return np.real(phases @ coeffs.T), np.real(diags @ np.diagonal(readout))
 
 
 def readout_joints(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
@@ -359,33 +412,21 @@ def readout_joints(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
     JOINT_ORDER, of the two readouts of rho_ac: behind the verification
     mixer at each theta (fringe), and with direct per-channel detection
     (counting).  Both outer memories are retrieved (gamma), and each
-    detector has efficiency eta and extra-click probability p_extra.  The
-    two arms share everything up to the clicks, so their eight effects are
-    pulled back in one stack.
+    detector has efficiency eta and extra-click probability p_extra.
 
-    The fringe effects are pulled back at theta = 0 only: the mixer phase is
-    exp(i theta n) on read_c, which commutes through the retrieval to
-    exp(i theta n_c) on mem_c, so
-    E_theta[l, k] = E_0[l, k] exp(i theta (n_c(l) - n_c(k))) and each
-    probability is a trig polynomial of degree n_max in theta.
+    rho_ac is forwarded once through both retrievals to the readout state R
+    on (read_a, read_c), which both arms share.  The counting arm is the
+    click diagonals against the diagonal of R.  The fringe needs no R per
+    theta: the mixer phase is exp(i theta n) on read_c, so an entry of
+    U^dag E U whose read_c occupations differ by k picks up exp(i theta k),
+    and each probability is a trig polynomial of degree n_max in theta whose
+    coefficients come from one contraction of R with a fixed table.  An
+    empty theta grid raises ParamError.
     """
-    d = rho_ac.register.dim_per_mode
-    n_max = d - 1
-    port = _click_effects(d, eta, p_extra)
-    ports = np.stack([port[True], port[False]])
-    # diags[j]: outer product of the (port 1, port 2) effects of JOINT_ORDER[j]
-    diags = (ports[:, None, :, None] * ports[None, :, None, :]).reshape(4, d * d)
-    mixer = _mixer(d)
-    effects = np.concatenate([mixer.conj().T @ (diags[:, :, None] * mixer),
-                              diags[:, :, None] * np.eye(d * d)])
-    pulled = _pull_back(effects, d, gamma)
-    # coeffs[j, k]: weight of exp(i (k - n_max) theta) in effect j
-    coeffs = (pulled * rho_ac.rho.T).reshape(len(effects), -1) @ _phase_orders(d)
-    phases = np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1)))
-    fringe = np.real(phases @ coeffs[:4].T)
-    counting = np.real(coeffs[4:].sum(axis=1))
-    return ([dict(zip(JOINT_ORDER, map(float, row))) for row in fringe],
-            dict(zip(JOINT_ORDER, map(float, counting))))
+    fringe, counting = _readout(rho_ac, gamma, eta, p_extra,
+                                _fringe_phases(thetas, rho_ac.register.n_max))
+    return ([dict(zip(JOINT_ORDER, row)) for row in fringe.tolist()],
+            dict(zip(JOINT_ORDER, counting.tolist())))
 
 
 @dataclass(frozen=True)
@@ -423,10 +464,15 @@ class SwapReport:
 def _spin_block(rho_ac: FockState) -> tuple[np.ndarray, float]:
     """{0,1} x {0,1} occupation block of rho_ac and its total weight."""
     d = rho_ac.register.dim_per_mode
-    idx = [0 * d + 0, 0 * d + 1, 1 * d + 0, 1 * d + 1]  # |n_a n_c>: 00,01,10,11
-    block = rho_ac.rho[np.ix_(idx, idx)]
+    block = rho_ac.rho.reshape(d, d, d, d)[:2, :2, :2, :2].reshape(4, 4)  # |n_a n_c>: 00,01,10,11
     total = float(np.real(np.trace(block)))
     return block, total
+
+
+def _visibility(fringe: np.ndarray) -> float:
+    """(max - min) / (max + min) of a fringe, 0 for a fringe that is all 0."""
+    hi, lo = fringe.max(), fringe.min()
+    return float((hi - lo) / (hi + lo)) if hi + lo > 0 else 0.0
 
 
 def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = None,
@@ -434,47 +480,31 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
                   max_entries: int = DEFAULT_MAX_ENTRIES) -> SwapReport:
     """Full quantum simulation of one heralded swap-and-verify attempt.
 
-    One swap_stage gives p_es1 and rho_ac; the verification effects are then
-    pulled back onto rho_ac once for the detected arms (fringe and counting)
-    and once for the ideal (spin-level) fringe, and evaluated at every theta.
+    One swap_stage gives p_es1 and rho_ac; rho_ac is then forwarded once to
+    its readout state for the detected arms (fringe and counting), and the
+    ideal (spin-level) fringe is a fixed linear map of rho_ac per cutoff;
+    both are evaluated at every theta.  An empty theta grid raises
+    ParamError.
     """
     if thetas is None:
         thetas = default_theta_grid()
     thetas = tuple(float(t) for t in thetas)
+    phases = _fringe_phases(thetas, n_max)
     p_es1, rho_ac = swap_stage(params, n_max, max_entries)
 
     gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
     extra2 = detector_extra(params, params.t2_us, params.z_ac)
-
-    p_coinc, p_joint, p_ev1, ev_joint = {}, {}, {}, {}
-    fringe, counting = readout_joints(rho_ac, gamma2, params.eta, extra2, thetas)
-    for theta, joint in zip(thetas, fringe):
-        pev1 = joint[(True, True)] + joint[(True, False)]
-        p_ev1[theta] = pev1
-        ev_joint[theta] = joint
-        p_joint[theta] = p_es1 * pev1
-        p_coinc[theta] = 4.0 * p_es1 * pev1
-
-    p11, p10, p01, p00 = (counting[key] for key in JOINT_ORDER)
+    fringe, counting = _readout(rho_ac, gamma2, params.eta, extra2, phases)
+    p_ev1 = fringe[:, 0] + fringe[:, 1]
+    values = 4.0 * p_es1 * p_ev1
+    p11, p10, p01, p00 = counting.tolist()
     h_det = p11 / (p10 * p01) if p10 > 0 and p01 > 0 else math.inf
-
-    values = np.array([p_coinc[t] for t in thetas])
-    vis = float((values.max() - values.min()) / (values.max() + values.min())) \
-        if values.max() + values.min() > 0 else 0.0
 
     # spin-level quantities of rho_ac itself
     block, block_total = _spin_block(rho_ac)
-    sp = {
-        "p00": float(np.real(block[0, 0])),
-        "p01": float(np.real(block[1, 1])),
-        "p10": float(np.real(block[2, 2])),
-        "p11": float(np.real(block[3, 3])),
-    }
-    ideal_fringe = np.array([joint[(True, True)] + joint[(True, False)]
-                             for joint in readout_joints(rho_ac, 1.0, 1.0, 0.0, thetas)[0]])
-    v_spin = float((ideal_fringe.max() - ideal_fringe.min())
-                   / (ideal_fringe.max() + ideal_fringe.min())) \
-        if ideal_fringe.max() + ideal_fringe.min() > 0 else 0.0
+    sp = dict(zip(("p00", "p01", "p10", "p11"), np.real(np.diagonal(block)).tolist()))
+    ideal_fringe = np.real(phases @ (rho_ac.rho.T.ravel() @ _ideal_fringe_map(n_max + 1)))
+    v_spin = _visibility(ideal_fringe)
 
     c_wootters = wootters_concurrence(block / block_total) if block_total > 0 else 0.0
     p_c_spin = sp["p10"] + sp["p01"]
@@ -485,17 +515,16 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
         p_es1=p_es1,
         rho_ac=rho_ac,
         thetas=thetas,
-        p_coinc=p_coinc,
-        p_coinc_joint=p_joint,
-        p_ev1_given_es1=p_ev1,
-        ev_joint_given_es1=ev_joint,
-        count_joint_given_es1=counting,
+        p_coinc=dict(zip(thetas, values.tolist())),
+        p_coinc_joint=dict(zip(thetas, (p_es1 * p_ev1).tolist())),
+        p_ev1_given_es1=dict(zip(thetas, p_ev1.tolist())),
+        ev_joint_given_es1={theta: dict(zip(JOINT_ORDER, row))
+                            for theta, row in zip(thetas, fringe.tolist())},
+        count_joint_given_es1=dict(zip(JOINT_ORDER, (p11, p10, p01, p00))),
         p_ij_spin=sp,
-        p_ij_detected={
-            "p11": p11, "p10": p10, "p01": p01, "p00": p00,
-        },
+        p_ij_detected={"p11": p11, "p10": p10, "p01": p01, "p00": p00},
         block_total=block_total,
-        visibility_fringe=vis,
+        visibility_fringe=_visibility(values),
         v_spin=v_spin,
         h_detected=h_det,
         p_c_spin=p_c_spin,

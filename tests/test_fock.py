@@ -27,7 +27,7 @@ from dlcz_swap.fock import (
     swap_stage,
     wootters_concurrence,
 )
-from dlcz_swap.params import at_t2, with_overrides
+from dlcz_swap.params import ParamError, at_t2, with_overrides
 from oracles import (
     apply_beam_splitter,
     apply_pair_source,
@@ -437,18 +437,25 @@ def test_entry_cap_applies_to_herald_register(defaults, chi):
     swap_stage(params, n_max=5, max_entries=6 ** 8)
 
 
-def test_operator_caches_bounded():
+def test_operator_caches_bounded(defaults):
     caches = (oracles._beam_splitter_unitary, oracles._pair_source_unitary,
-              fock._mixer, fock._phase_orders)
+              fock._mixer, fock._mixer_projectors, fock._retrieval_tables,
+              fock._phase_orders, fock._fringe_table, fock._ideal_fringe_map)
     for cache in caches:
         cache.cache_clear()
     state = vacuum(ModeRegister(("spin", "light")))
     for gamma in np.linspace(0.0, 1.0, 200):
         apply_retrieval(state, "spin", "light", float(gamma))
+    for n_max in (1, 2, 3):
+        swap_pipeline(defaults, n_max=n_max)
     # one beam-splitter angle per gamma, more than the cache keeps
     assert oracles._beam_splitter_unitary.cache_info().misses > fock.OPERATOR_CACHE_SIZE
     for cache in caches:
+        assert cache.cache_info().maxsize == fock.OPERATOR_CACHE_SIZE
         assert cache.cache_info().currsize <= fock.OPERATOR_CACHE_SIZE
+    # the engine's caches are keyed on the cutoff alone: one entry per n_max
+    for cache in caches[2:]:
+        assert cache.cache_info().currsize == 3
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -463,27 +470,40 @@ def test_retrieval_adjoint_matches_expm(d):
 
 
 def test_new_storage_times_need_no_exponential(defaults, monkeypatch):
-    # a new t2 needs the fixed 50/50 mixer only, and each detected readout
-    # is one pull-back: swap, detected arms and ideal fringe per pipeline,
-    # and a table build is one pipeline
-    pulls = []
-    pull_back = fock._pull_back
-    monkeypatch.setattr(fock, "_pull_back",
-                        lambda *args: pulls.append(1) or pull_back(*args))
+    # a new t2 costs no matrix exponential (the mixer cache gets no miss) and
+    # builds one retrieval map per storage time: t1 for the swap click and
+    # t2 for the detected readout; the spin-level fringe is a cached map, and
+    # a table build is one pipeline
+    maps = []
+    retrieval_adjoint = fock._retrieval_adjoint
+    monkeypatch.setattr(fock, "_retrieval_adjoint",
+                        lambda *args: maps.append(args[1]) or retrieval_adjoint(*args))
     protocol._tables_cached.cache_clear()
     swap_pipeline(defaults)
     mixers = fock._mixer.cache_info()
     for t2 in np.linspace(3.0, 47.0, 20):
         params = at_t2(defaults, float(t2))
-        pulls.clear()
+        gammas = [params.gamma0 * math.exp(-t / params.tau0_us)
+                  for t in (params.t1_us, params.t2_us)]
+        maps.clear()
         swap_pipeline(params)
-        assert len(pulls) == 3
-        pulls.clear()
+        assert maps == pytest.approx(gammas, rel=1e-12)
+        maps.clear()
         protocol.conditional_tables(params, fock.default_theta_grid())
-        assert len(pulls) == 3
+        assert maps == pytest.approx(gammas, rel=1e-12)
     # the mixer cache gains no entry over the fresh t2 points
     assert fock._mixer.cache_info().currsize == mixers.currsize
     assert fock._mixer.cache_info().misses == mixers.misses
+
+
+def test_empty_theta_grid_rejected(defaults):
+    # an empty grid has no fringe: a ParamError naming the grid, not numpy's
+    # zero-size reduction error
+    _, rho_ac = swap_stage(defaults)
+    with pytest.raises(ParamError, match="theta grid"):
+        swap_pipeline(defaults, thetas=())
+    with pytest.raises(ParamError, match="theta grid"):
+        readout_joints(rho_ac, 0.5, defaults.eta, 0.0, ())
 
 
 # Names of the Schrödinger-picture toolkit and the scalar trial loop, which
@@ -667,3 +687,48 @@ def test_readout_joints_match_staged_oracle(boosted, chi):
         want = _oracle_readout(state, gamma2, params.eta, extra2)
         for key, value in want.items():
             assert abs(counting[key] - value) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("chi", [None, 0.0], ids=["heralded", "ideal"])
+def test_swap_stage_zero_click_keeps_outer_marginals(defaults, chi):
+    # gamma underflows to 0 and no light reaches the swap detector, so the
+    # click never happens and rho_ac is the unmeasured state: the partial
+    # trace of the spins, the product of the two outer marginals
+    params = with_overrides(defaults, t1_us=1e6, t2_us=1e6 + 10, z_b=0.0, xi_se=0.0)
+    if chi is not None:
+        params = with_overrides(params, chi=chi)
+    assert params.gamma0 * math.exp(-params.t1_us / params.tau0_us) == 0.0
+    for n_max in (1, 2, 3):
+        p, rho_ac = swap_stage(params, n_max=n_max)
+        want = partial_trace(_oracle_spins(params, n_max), ("mem_a", "mem_c"))
+        assert p == 0.0
+        assert rho_ac.trace() == pytest.approx(1.0, abs=ORACLE_TOL)
+        assert rho_ac.register.labels == want.register.labels
+        assert np.abs(rho_ac.rho - want.rho).max() <= ORACLE_TOL
+
+
+def _ideal_fringe(state, thetas):
+    """Spin-level P(detector 1 clicks) from the general readout."""
+    fringe, _ = readout_joints(state, 1.0, 1.0, 0.0, thetas)
+    return np.array([joint[(True, True)] + joint[(True, False)] for joint in fringe])
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_ideal_fringe_map_matches_readout(defaults, boosted, n_max):
+    # the cached spin-level fringe map is the general readout at
+    # gamma = eta = 1 and p_extra = 0, for real and complex rho_ac
+    d = n_max + 1
+    grid = fock.default_theta_grid()
+    thetas = np.random.default_rng(23).uniform(0.0, 2.0 * math.pi, 5)
+    fringe_map = fock._ideal_fringe_map(d)
+    phase = np.exp(0.9j * (np.arange(d * d) % d))
+    for params in (defaults, boosted, with_overrides(defaults, chi=0.0)):
+        report = swap_pipeline(params, thetas=grid, n_max=n_max)
+        want = _ideal_fringe(report.rho_ac, grid)
+        assert abs(report.v_spin - (want.max() - want.min()) / (want.max() + want.min())) \
+            <= ORACLE_TOL
+        twisted = FockState(report.rho_ac.register,
+                            np.outer(phase, phase.conj()) * report.rho_ac.rho)
+        for state in (report.rho_ac, twisted):
+            got = np.real(fock._fringe_phases(thetas, n_max) @ (state.rho.T.ravel() @ fringe_map))
+            assert np.abs(got - _ideal_fringe(state, thetas)).max() <= ORACLE_TOL

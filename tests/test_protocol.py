@@ -346,6 +346,13 @@ def test_engine_tables_periodic(boosted):
     assert np.allclose(tables.fringe_cdf[0], tables.fringe_cdf[1], atol=1e-12)
 
 
+def test_empty_theta_grid_rejected(boosted):
+    # an empty grid has no fringe to tabulate: a ParamError naming the grid,
+    # not numpy's zero-size reduction error
+    with pytest.raises(ParamError, match="theta grid"):
+        conditional_tables(boosted, ())
+
+
 def test_m_axis_uses_multiplexing(boosted):
     series = sweep(boosted, "m", [1, 2, 3], 50_000, theta_grid=[0.0],
                    seed=8, observable="eg_rate")
