@@ -50,7 +50,6 @@ from .fock import (
     readout_joints,
     swap_pipeline,
     swap_stage,
-    wootters_concurrence,
 )
 from .protocol import (
     ConditionalTables,
@@ -98,7 +97,6 @@ __all__ = [
     "readout_joints",
     "swap_pipeline",
     "swap_stage",
-    "wootters_concurrence",
     "ConditionalTables",
     "SwapStatistics",
     "conditional_tables",

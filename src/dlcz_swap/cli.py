@@ -423,8 +423,9 @@ def _check_concurrence_consistency():
     allowance = report.p_ij_spin["p11"] + abs(1.0 - report.block_total)
     # Noise-free limit: no multi-pair terms, no background, unit efficiencies,
     # negligible storage.  The swapped state is Bell-plus-vacuum and both
-    # routes must land on p_c; 1e-8 because the estimator's sqrt(p00*p11)
-    # and the matrix square root amplify float dust.
+    # routes must land on p_c; 1e-8 covers sqrt(p00*p11), which turns ~1e-17
+    # of float dust on an empty |11> diagonal into ~1e-9 in the estimator and
+    # the closed-form concurrence alike.
     ideal = with_overrides(experiment_defaults(), chi=0.0, eta=1.0, gamma0=1.0,
                            tau0_us=1e9, z_b=0.0, z_ac=0.0, xi_se=0.0,
                            t2_us=1e-9)
@@ -566,10 +567,17 @@ def _add_common(sub, out_default="."):
     sub.add_argument("--format", choices=("csv", "json", "both"), default="both")
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_mc(sub):
     sub.add_argument("--trials", type=int, default=1_000_000)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--theta-points", type=int, default=16)
+    sub.add_argument("--theta-points", type=_at_least_one, default=16)
 
 
 def build_parser() -> argparse.ArgumentParser:

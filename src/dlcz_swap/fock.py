@@ -4,21 +4,30 @@ Four spin modes (two memory pairs) and their readout modes are modelled
 exactly on a photon-number-truncated Hilbert space: pair sources, beam
 splitters, retrieval as a partial spin-to-light transfer, incoherent channel
 noise, and non-number-resolving click detection.  The swap pipeline
-attaches no optical mode to a spin state: the heralded link is a closed form
-(one Hadamard product), and the swap click effect is pulled back onto
+attaches no optical mode to a spin state and evaluates a parameter point in
+one pass.  The heralded link is a closed form (one Hadamard product) that
+depends on (chi, eta, n_max) alone, so it is cached on that key and a new
+storage time reuses it.  The swap click effect is pulled back onto
 (mem_b1, mem_b2) (Heisenberg picture) and contracted directly with the two
-link states.  The verification readout goes the other way: rho_ac is
-forwarded once through both retrievals to the readout state R, and each
-click probability is a contraction of R with a fixed per-cutoff table, whose
-dependence on the mixer phase theta is split into its 2 n_max + 1 phase
-orders, so a parameter point builds nothing larger than a few d^2 x d^2
-matrices (d = n_max + 1).  Retrieval enters through its exact binomial
-amplitudes, so a new storage time needs no matrix exponential, and every
-operator that depends on d alone is built once per cutoff.  Distinct
-multiplexed mode indices never interfere, so one quadruple is the whole
-quantum problem and multiplexing is combinatorial (protocol.py).  The
-Schrödinger-picture reference these maps are tested against lives in the
-test suite.
+link states.  rho_ac is then forwarded once through both retrievals to the
+readout state R.  From the swap click to the readout, rho_ac and R stay in
+the readout layout [(n n'), (m m')] (_swap_layout), on which retrieval acts
+on one mode at a time, and every table the readout reads is stored per
+cutoff in that layout.  Each click probability contracts R's entries, split
+into the 2 n_max + 1 orders of the mixer phase theta, with the fixed mixer
+projectors, so a parameter point builds nothing larger than a few d^2 x d^2
+matrices (d = n_max + 1) and no cached table holds more than d^6 entries.
+Every stage conserves n_a + n_c (the herald and the swap click are
+number-diagonal behind number-conserving mixers, and retrieval is phase
+covariant), so the {0,1} block of rho_ac is an X state whose one coherence
+is <01|rho|10>, and its Wootters concurrence is the closed form
+2 max(0, |rho_01,10| - sqrt(rho_00 rho_11)).  Retrieval enters through its
+exact binomial amplitudes, so a new storage time needs no matrix
+exponential, and every operator that depends on d alone is built once per
+cutoff.  Distinct multiplexed mode indices never interfere, so one quadruple
+is the whole quantum problem and multiplexing is combinatorial
+(protocol.py).  The Schrödinger-picture reference and the general Wootters
+concurrence the engine is tested against live in the test suite.
 """
 
 from __future__ import annotations
@@ -42,7 +51,6 @@ __all__ = [
     "FockState",
     "SwapReport",
     "JOINT_ORDER",
-    "wootters_concurrence",
     "heralded_spin_state",
     "swap_stage",
     "detector_extra",
@@ -54,16 +62,13 @@ __all__ = [
 DEFAULT_N_MAX = 2
 DEFAULT_MAX_ENTRIES = 1_000_000
 
-# Entries kept by each operator cache; the caches are keyed on the
-# per-mode dimension d alone.
+# Entries kept by each operator cache: the operator caches are keyed on the
+# per-mode dimension d, the link on (chi, eta, n_max) and the fringe phases
+# on (thetas, n_max).
 OPERATOR_CACHE_SIZE = 64
 
 # Fixed order of the joint (detector 1, detector 2) click outcomes.
 JOINT_ORDER = ((True, True), (True, False), (False, True), (False, False))
-
-# sigma_y (x) sigma_y, the spin flip of the Wootters concurrence
-_SIGMA_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
-
 
 class DimensionError(ValueError):
     """Register would exceed the configured density-matrix entry cap."""
@@ -166,12 +171,38 @@ def _mixer(d: int) -> np.ndarray:
     return expm(math.pi / 4 * (np.kron(a, a.T) - np.kron(a.T, a)))
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, marked read-only: a cache hands the same array to every caller."""
+    array.flags.writeable = False
+    return array
+
+
+def _swap_layout(m: np.ndarray, d: int) -> np.ndarray:
+    """[(n m), (k l)] -> [(n k), (m l)] for an operator on two d-level modes
+    (its own inverse): the readout layout, on which the retrieval map s acts
+    on one mode at a time.  The trace of an operator is the sum of its
+    readout-layout entries [(n n), (m m)] (_diagonal_index), not the trace of
+    the reshuffled matrix."""
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _diagonal_index(d: int) -> np.ndarray:
+    """Flat positions, in the readout layout, of the diagonal entries
+    [(n m), (n m)] of a two-mode operator, in the order of its diagonal."""
+    n, m = np.divmod(np.arange(d * d), d)
+    return _read_only((n * d + n) * d * d + m * d + m)
+
+
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _mixer_projectors(d: int) -> np.ndarray:
-    """T[i] = the entries of U^dag |i><i| U for the 50/50 mixer U, so that a
-    diagonal effect diag(x) behind the mixer is (x @ T).reshape(d^2, d^2)."""
+    """T[i] = the entries of (U^dag |i><i| U)^T in the readout layout, for the
+    50/50 mixer U.  A diagonal effect E = diag(x) behind the mixer is then
+    (x @ T).reshape(d^2, d^2) = _swap_layout(E^T), and Tr[E R] is
+    (x @ T) . R'.ravel() for R' the readout layout of R."""
     u = _mixer(d)
-    return (u.conj()[:, :, None] * u[:, None, :]).reshape(d * d, -1)
+    m = (u.conj()[:, :, None] * u[:, None, :]).transpose(0, 2, 1)  # (U^dag |i><i| U)^T
+    return m.reshape(d * d, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(d * d, -1)
 
 
 def _click_effects(d: int, eta: float, p_extra: float) -> dict:
@@ -186,19 +217,6 @@ def _click_effects(d: int, eta: float, p_extra: float) -> dict:
     return {True: 1.0 - dark, False: dark}
 
 
-def wootters_concurrence(rho4: np.ndarray) -> float:
-    """Concurrence of a two-qubit density matrix (standard spin-flip recipe)."""
-    if rho4.shape != (4, 4):
-        raise ValueError("expected a 4x4 two-qubit density matrix")
-    tr = np.real(np.trace(rho4))
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError("two-qubit density matrix must be normalized")
-    r = rho4 @ _SIGMA_YY @ rho4.conj() @ _SIGMA_YY
-    eigs = np.linalg.eigvals(r)
-    lam = np.sqrt(np.sort(np.abs(np.real(eigs)))[::-1])
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
 # ---------------------------------------------------------------------------
 # Swap pipeline: heralded spins -> swap click -> verification
 # ---------------------------------------------------------------------------
@@ -206,7 +224,9 @@ def wootters_concurrence(rho4: np.ndarray) -> float:
 SPIN_LABELS = ("mem_a", "mem_b1", "mem_b2", "mem_c")
 
 
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def default_theta_grid(n: int = 16) -> tuple[float, ...]:
+    """n equally spaced mixer phases on [0, 2 pi), as a cached tuple."""
     return tuple(2.0 * math.pi * k / n for k in range(n))
 
 
@@ -221,41 +241,54 @@ def heralded_spin_state(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     single-excitation pair (|10> - |01>)/sqrt(2), the chi -> 0 limit.
     max_entries is the size check of _link_state (a register never built).
     """
-    link = _link_state(params, n_max, max_entries)
+    link, _ = _link_state(params, n_max, max_entries)
     reg = ModeRegister(SPIN_LABELS, n_max=n_max, max_entries=max_entries)
     return FockState(reg, np.kron(link, link))
 
 
-def _link_state(params: ExperimentParams, n_max: int, max_entries: int) -> np.ndarray:
-    """Density matrix of one link, (outer memory, inner memory) = (mem_a,
-    mem_b1) for the left link and (mem_b2, mem_c) for the right one; the
-    links are identical constructions, so one matrix serves both.
+def _link_state(params: ExperimentParams, n_max: int,
+                max_entries: int) -> tuple[np.ndarray, np.ndarray]:
+    """Density matrix of one link, in the standard layout and in the readout
+    layout, (outer memory, inner memory) = (mem_a, mem_b1) for the left link
+    and (mem_b2, mem_c) for the right one; the links are identical
+    constructions, so one matrix serves both.  The link depends on
+    (chi, eta, n_max) alone, so it comes from a cache keyed on those and a
+    new storage time reuses it.  max_entries is a size check on the
+    four-mode herald register, which is never built; it stays because the
+    benchmark passes max_entries, and goes with its N3_MAX_ENTRIES.
+    """
+    ModeRegister(("mem_a", "mem_b1", "write_1", "write_2"),
+                 n_max=n_max, max_entries=max_entries)
+    return _heralded_link(params.chi, params.eta, n_max)
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _heralded_link(chi: float, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The link of _link_state, (standard layout, readout layout), read-only.
 
     The write photons mirror the spins in the pair state psi = c (x) c,
     c_n = sqrt(chi^n / sum_{k <= n_max} chi^k), so the click of write_1
     behind the 50/50 mixer U gives rho ~ (psi psi^dag) o M^T,
     M = U^dag (E_click (x) 1) U.  At chi = 0 psi is |10> + |01>, the
     order-sqrt(chi) term of c (x) c: the herald removes the vacuum term, so
-    this is the exact chi -> 0 limit.  max_entries is a size check on the
-    four-mode herald register, which is never built; it stays because the
-    benchmark passes max_entries, and goes with its N3_MAX_ENTRIES.
+    this is the exact chi -> 0 limit.
     """
-    ModeRegister(("mem_a", "mem_b1", "write_1", "write_2"),
-                 n_max=n_max, max_entries=max_entries)
     d = n_max + 1
-    if params.chi > 0.0:
-        weights = np.array([params.chi ** n for n in range(d)])
+    if chi > 0.0:
+        weights = np.array([chi ** n for n in range(d)])
         c = np.sqrt(weights / weights.sum())
         psi = np.outer(c, c).ravel()
     else:
         psi = np.zeros(d * d)
         psi[[1, d]] = 1.0
-    click = np.repeat(_click_effects(d, params.eta, 0.0)[True], d)
-    rho = np.outer(psi, psi) * (click @ _mixer_projectors(d)).reshape(d * d, d * d).T
+    click = np.repeat(_click_effects(d, eta, 0.0)[True], d)
+    m_t = _swap_layout((click @ _mixer_projectors(d)).reshape(d * d, d * d), d)
+    rho = np.outer(psi, psi) * m_t
     p_herald = float(np.real(np.trace(rho)))
     if p_herald <= 1e-300:
         raise ValueError("herald click has zero probability")
-    return rho / p_herald
+    rho = rho / p_herald
+    return _read_only(rho), _read_only(_swap_layout(rho, d))
 
 
 def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
@@ -309,12 +342,6 @@ def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     return weight * (1.0 - gamma) ** left * gamma ** moved
 
 
-def _swap_layout(m: np.ndarray, d: int) -> np.ndarray:
-    """[(n m), (k l)] -> [(n k), (m l)] for an operator on two d-level modes
-    (its own inverse): the layout on which s acts on one mode at a time."""
-    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-
-
 def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
                max_entries: int = DEFAULT_MAX_ENTRIES) -> tuple[float, FockState]:
     """Retrieval + interference + click of the swap measurement.
@@ -326,12 +353,16 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     Only the click effect on read_b1 is pulled back, through the swap mixer
     and both retrievals, to an operator M on (mem_b1, mem_b2); then
     p_click * rho_ac = Tr_{b1 b2}[M rho_L (x) rho_R], two matmuls on the
-    reshaped links without forming the four-spin state.  A click of zero
-    probability leaves the state unmeasured: the identity pulls back to the
-    identity, so rho_ac is the product of the two outer marginals.
-    max_entries is the size check of _link_state (a register never built).
+    links' readout layout (both from the link cache, keyed on
+    (chi, eta, n_max)) without forming the four-spin state.  The product is
+    rho_ac in the readout layout [(a a'), (c c')], so p_click is the sum of
+    its [(n n), (m m)] entries; rho_ac is returned in the standard layout.
+    A click of zero probability leaves the state unmeasured: the identity
+    pulls back to the identity, so rho_ac is the product of the two outer
+    marginals.  max_entries is the size check of _link_state (a register
+    never built).
     """
-    link = _link_state(params, n_max, max_entries)
+    link, pair = _link_state(params, n_max, max_entries)
     reg = ModeRegister(("mem_a", "mem_c"), n_max=n_max, max_entries=max_entries)
     d = reg.dim_per_mode
     gamma1 = analytic.retrieval_efficiency(params.t1_us, params)
@@ -340,36 +371,27 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     # Constant interferometer offsets are calibrated so the heralded
     # verification fringe peaks at theta = 0, matching the closed-form
     # (1 + cos theta)/2: the swap mixer carries no phase.
-    effect = (click @ _mixer_projectors(d)).reshape(d * d, d * d)
-    # on the layout of _swap_layout, [(a a'), (b1 b1')] for the left link,
-    # the partial trace is pair @ M^T @ pair, and M^T = s E^T s^T there
+    # In the readout layout, [(a a'), (b1 b1')] for the left link, the
+    # partial trace is pair @ M^T @ pair, and M^T = s E^T s^T there.
     s = _retrieval_adjoint(d, gamma1)
-    m = s @ _swap_layout(effect.T, d) @ s.T
-    pair = _swap_layout(link, d)
-    rho = _swap_layout(pair @ m @ pair, d)
-    p_click = float(np.real(np.trace(rho)))
+    m = s @ (click @ _mixer_projectors(d)).reshape(d * d, d * d) @ s.T
+    rho = pair @ m @ pair
+    p_click = float(np.real(rho.ravel()[_diagonal_index(d)].sum()))
     if p_click <= 1e-300:
         t = link.reshape(d, d, d, d)
         marginals = np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)
         return 0.0, FockState(reg, np.kron(*marginals))
-    return p_click, FockState(reg, rho / p_click)
+    return p_click, FockState(reg, _swap_layout(rho / p_click, d))
 
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _phase_orders(d: int) -> np.ndarray:
-    """0/1 map from the d^4 entries [l, k] of a (mode 1, mode 2) operator to
-    the order n_2(l) - n_2(k) + n_max of their mixer phase, one of 2 n_max + 1."""
-    n_c = np.arange(d * d) % d
-    shift = (n_c[:, None] - n_c[None, :]).ravel() + d - 1
+    """0/1 map from the d^4 readout-layout entries [(n n'), (m m')] of a
+    (mode 1, mode 2) operator to the order m' - m + n_max of their mixer
+    phase, one of 2 n_max + 1."""
+    e = np.arange(d ** 4)
+    shift = e % d - e // d % d + d - 1
     return (shift[:, None] == np.arange(2 * d - 1)).astype(float)
-
-
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _fringe_table(d: int) -> np.ndarray:
-    """B[e, (i, k)]: entry e of U^dag |i><i| U (U the verification mixer) in
-    phase order k, so that the phase-order coefficients of
-    Tr[U^dag diag(x) U R] are x @ (R^T.ravel() @ B).reshape(d^2, 2 n_max + 1)."""
-    return (_mixer_projectors(d).T[:, :, None] * _phase_orders(d)[:, None, :]).reshape(d ** 4, -1)
 
 
 def _joint_diags(d: int, eta: float, p_extra: float) -> np.ndarray:
@@ -381,29 +403,33 @@ def _joint_diags(d: int, eta: float, p_extra: float) -> np.ndarray:
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _ideal_fringe_map(d: int) -> np.ndarray:
-    """F with rho.T.ravel() @ F the phase-order coefficients of the spin-level
-    fringe P(detector 1 clicks): at gamma = eta = 1 and p_extra = 0 the
-    retrieval is the identity and the readout state is rho_ac itself."""
+    """F with rho'.ravel() @ F the phase-order coefficients of the spin-level
+    fringe P(detector 1 clicks), rho' the readout layout of rho_ac: at
+    gamma = eta = 1 and p_extra = 0 the retrieval is the identity and the
+    readout state is rho_ac itself."""
     detector_1 = _joint_diags(d, 1.0, 0.0)[:2].sum(axis=0)
-    return detector_1 @ _fringe_table(d).reshape(d ** 4, d * d, -1)
+    return (detector_1 @ _mixer_projectors(d))[:, None] * _phase_orders(d)
 
 
-def _fringe_phases(thetas: Sequence[float], n_max: int) -> np.ndarray:
-    """exp(i theta (k - n_max)) for each theta and phase order k."""
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _fringe_phases(thetas: tuple[float, ...], n_max: int) -> np.ndarray:
+    """exp(i theta (k - n_max)) for each theta and phase order k (read-only)."""
     if len(thetas) == 0:
         raise ParamError("theta grid must be non-empty")
-    return np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1)))
+    return _read_only(np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1))))
 
 
-def _readout(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
+def _readout(rho: np.ndarray, d: int, gamma: float, eta: float, p_extra: float,
              phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """readout_joints as arrays over JOINT_ORDER: (fringe, counting)."""
-    d = rho_ac.register.dim_per_mode
+    """readout_joints as arrays over JOINT_ORDER, (fringe, counting), for
+    rho_ac given in the readout layout."""
     diags = _joint_diags(d, eta, p_extra)
     s = _retrieval_adjoint(d, gamma)
-    readout = _swap_layout(s.T @ _swap_layout(rho_ac.rho, d) @ s, d)
-    coeffs = diags @ (readout.T.ravel() @ _fringe_table(d)).reshape(d * d, -1)
-    return np.real(phases @ coeffs.T), np.real(diags @ np.diagonal(readout))
+    readout = (s.T @ rho @ s).ravel()
+    # the phase-order split goes onto R's entries, so no per-cutoff table
+    # holds more than the d^6 projector entries
+    coeffs = diags @ (_mixer_projectors(d) @ (readout[:, None] * _phase_orders(d)))
+    return np.real(phases @ coeffs.T), np.real(diags @ readout[_diagonal_index(d)])
 
 
 def readout_joints(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
@@ -415,16 +441,19 @@ def readout_joints(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
     detector has efficiency eta and extra-click probability p_extra.
 
     rho_ac is forwarded once through both retrievals to the readout state R
-    on (read_a, read_c), which both arms share.  The counting arm is the
-    click diagonals against the diagonal of R.  The fringe needs no R per
-    theta: the mixer phase is exp(i theta n) on read_c, so an entry of
-    U^dag E U whose read_c occupations differ by k picks up exp(i theta k),
-    and each probability is a trig polynomial of degree n_max in theta whose
-    coefficients come from one contraction of R with a fixed table.  An
-    empty theta grid raises ParamError.
+    on (read_a, read_c), which both arms share; R stays in the readout
+    layout [(a a'), (c c')], where retrieval acts on one mode at a time.
+    The counting arm is the click diagonals against R's diagonal entries.
+    The fringe needs no R per theta: the mixer phase is exp(i theta n) on
+    read_c, so an entry of R whose read_c occupations differ by k picks up
+    exp(i theta k), and each probability is a trig polynomial of degree
+    n_max in theta whose coefficients come from R's entries, split by phase
+    order, contracted with the fixed mixer projectors.  An empty theta grid
+    raises ParamError.
     """
-    fringe, counting = _readout(rho_ac, gamma, eta, p_extra,
-                                _fringe_phases(thetas, rho_ac.register.n_max))
+    d = rho_ac.register.dim_per_mode
+    phases = _fringe_phases(tuple(map(float, thetas)), d - 1)
+    fringe, counting = _readout(_swap_layout(rho_ac.rho, d), d, gamma, eta, p_extra, phases)
     return ([dict(zip(JOINT_ORDER, row)) for row in fringe.tolist()],
             dict(zip(JOINT_ORDER, counting.tolist())))
 
@@ -461,14 +490,6 @@ class SwapReport:
     concurrence_estimator: float
 
 
-def _spin_block(rho_ac: FockState) -> tuple[np.ndarray, float]:
-    """{0,1} x {0,1} occupation block of rho_ac and its total weight."""
-    d = rho_ac.register.dim_per_mode
-    block = rho_ac.rho.reshape(d, d, d, d)[:2, :2, :2, :2].reshape(4, 4)  # |n_a n_c>: 00,01,10,11
-    total = float(np.real(np.trace(block)))
-    return block, total
-
-
 def _visibility(fringe: np.ndarray) -> float:
     """(max - min) / (max + min) of a fringe, 0 for a fringe that is all 0."""
     hi, lo = fringe.max(), fringe.min()
@@ -480,35 +501,46 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
                   max_entries: int = DEFAULT_MAX_ENTRIES) -> SwapReport:
     """Full quantum simulation of one heralded swap-and-verify attempt.
 
-    One swap_stage gives p_es1 and rho_ac; rho_ac is then forwarded once to
-    its readout state for the detected arms (fringe and counting), and the
-    ideal (spin-level) fringe is a fixed linear map of rho_ac per cutoff;
-    both are evaluated at every theta.  An empty theta grid raises
-    ParamError.
+    One swap_stage gives p_es1 and rho_ac (the heralded link comes from its
+    cache keyed on (chi, eta, n_max)); rho_ac is then taken to the readout
+    layout once and stays there: it is forwarded once to its readout state
+    for the detected arms (fringe and counting), the ideal (spin-level)
+    fringe is a fixed linear map of it per cutoff, both evaluated at every
+    theta, and the spin-level quantities are read from its entries: the
+    {0,1} block of rho_ac is an X state (n_a + n_c is conserved), so its
+    Wootters concurrence is 2 max(0, |rho_01,10| - sqrt(rho_00 rho_11))
+    (Wootters, PRL 80, 2245 (1998); Yu & Eberly, QIC 7, 459 (2007)).  An
+    empty theta grid raises ParamError.
     """
     if thetas is None:
         thetas = default_theta_grid()
-    thetas = tuple(float(t) for t in thetas)
+    thetas = tuple(map(float, thetas))
     phases = _fringe_phases(thetas, n_max)
     p_es1, rho_ac = swap_stage(params, n_max, max_entries)
+    d = n_max + 1
+    rho = _swap_layout(rho_ac.rho, d)
 
     gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
     extra2 = detector_extra(params, params.t2_us, params.z_ac)
-    fringe, counting = _readout(rho_ac, gamma2, params.eta, extra2, phases)
+    fringe, counting = _readout(rho, d, gamma2, params.eta, extra2, phases)
     p_ev1 = fringe[:, 0] + fringe[:, 1]
     values = 4.0 * p_es1 * p_ev1
     p11, p10, p01, p00 = counting.tolist()
     h_det = p11 / (p10 * p01) if p10 > 0 and p01 > 0 else math.inf
 
-    # spin-level quantities of rho_ac itself
-    block, block_total = _spin_block(rho_ac)
-    sp = dict(zip(("p00", "p01", "p10", "p11"), np.real(np.diagonal(block)).tolist()))
-    ideal_fringe = np.real(phases @ (rho_ac.rho.T.ravel() @ _ideal_fringe_map(n_max + 1)))
-    v_spin = _visibility(ideal_fringe)
+    # spin-level quantities of rho_ac itself, from its {0,1} occupation block
+    # |n_a n_c> = 00, 01, 10, 11: the diagonals and the one coherence
+    # <01|rho|10> of the X state
+    entries = rho.ravel()
+    s00, s01, s10, s11 = np.real(entries[_diagonal_index(d)[[0, 1, d, d + 1]]]).tolist()
+    block_total = (s00 + s01) + (s10 + s11)
+    v_spin = _visibility(np.real(phases @ (entries @ _ideal_fringe_map(d))))
 
-    c_wootters = wootters_concurrence(block / block_total) if block_total > 0 else 0.0
-    p_c_spin = sp["p10"] + sp["p01"]
-    c_estimator = max(0.0, (p_c_spin * v_spin - 2.0 * math.sqrt(max(sp["p00"] * sp["p11"], 0.0)))
+    sqrt_s00_s11 = math.sqrt(max(s00 * s11, 0.0))
+    c_wootters = (2.0 * max(0.0, abs(rho[1, d]) - sqrt_s00_s11) / block_total
+                  if block_total > 0 else 0.0)
+    p_c_spin = s10 + s01
+    c_estimator = max(0.0, (p_c_spin * v_spin - 2.0 * sqrt_s00_s11)
                 / block_total) if block_total > 0 else 0.0
 
     return SwapReport(
@@ -521,7 +553,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
         ev_joint_given_es1={theta: dict(zip(JOINT_ORDER, row))
                             for theta, row in zip(thetas, fringe.tolist())},
         count_joint_given_es1=dict(zip(JOINT_ORDER, (p11, p10, p01, p00))),
-        p_ij_spin=sp,
+        p_ij_spin={"p00": s00, "p01": s01, "p10": s10, "p11": s11},
         p_ij_detected={"p11": p11, "p10": p10, "p01": p01, "p00": p00},
         block_total=block_total,
         visibility_fringe=_visibility(values),

@@ -5,6 +5,9 @@
   The staged six-mode oracle in test_fock.py builds the swap and the
   readouts from it; the engine pulls click effects back onto the spins
   instead and must agree to rounding.
+* The general Wootters concurrence (spin-flip recipe with a 4x4
+  eigenvalue problem); the engine reads the concurrence of its X-state
+  block in closed form and must agree to rounding.
 * The scalar trial loop: one protocol repetition from its per-trial doubles.
   run_batch decides the same draws on raw Philox words, chunk by chunk, and
   must give the same counts.
@@ -247,6 +250,25 @@ def joint_clicks(state: FockState, mode1: str, mode2: str, eta: float,
         for second in measure_click(first.state, mode2, eta, p_extra=p_extra):
             out[(first.clicked, second.clicked)] = first.probability * second.probability
     return out
+
+
+# -- concurrence ---------------------------------------------------------------
+
+# sigma_y (x) sigma_y, the spin flip of the Wootters concurrence
+_SIGMA_YY = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+
+
+def wootters_concurrence(rho4: np.ndarray) -> float:
+    """Concurrence of a two-qubit density matrix (standard spin-flip recipe)."""
+    if rho4.shape != (4, 4):
+        raise ValueError("expected a 4x4 two-qubit density matrix")
+    tr = np.real(np.trace(rho4))
+    if abs(tr - 1.0) > 1e-8:
+        raise ValueError("two-qubit density matrix must be normalized")
+    r = rho4 @ _SIGMA_YY @ rho4.conj() @ _SIGMA_YY
+    eigs = np.linalg.eigvals(r)
+    lam = np.sqrt(np.sort(np.abs(np.real(eigs)))[::-1])
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 # -- scalar trial loop --------------------------------------------------------

@@ -232,6 +232,21 @@ def test_sweep_bad_axis_argparse(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["figures", "fig2"], ["figures", "fig3"], ["figures", "fig4"], ["figures", "fig1s"],
+    ["figures", "fig2s"], ["simulate"], ["sweep", "--axis", "t2", "--values", "2,3"],
+])
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_theta_points_below_one_exit_2(tmp_path, command, points):
+    # rejected at parse time by every command that takes the option, before
+    # any file is written
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command + ["--theta-points", points, "--trials", "1000",
+                            "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_validate_passes(capsys):
     assert cli.main(["validate"]) == 0
     out = capsys.readouterr().out

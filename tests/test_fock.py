@@ -25,7 +25,6 @@ from dlcz_swap.fock import (
     readout_joints,
     swap_pipeline,
     swap_stage,
-    wootters_concurrence,
 )
 from dlcz_swap.params import ParamError, at_t2, with_overrides
 from oracles import (
@@ -37,6 +36,7 @@ from oracles import (
     measure_click,
     partial_trace,
     vacuum,
+    wootters_concurrence,
 )
 
 # Frozen engine outputs at the default parameter point (n_max = 2, 16-point
@@ -338,6 +338,31 @@ def test_concurrence_gap_bound(report_defaults):
     assert gap <= r.p_ij_spin["p11"] + abs(1.0 - r.block_total)
 
 
+def test_closed_form_concurrence_matches_wootters(defaults):
+    # every stage conserves n_a + n_c, so the spin block is an X state whose
+    # one coherence is <01|rho|10>, and the closed form is the general
+    # spin-flip concurrence; 120 random points plus the zero-click branch
+    rng = np.random.default_rng(41)
+    points = [(with_overrides(at_t2(defaults, float(rng.uniform(2.0, 300.0))),
+                              chi=chi, eta=float(1.0 - rng.uniform(0.0, 0.95))),
+               int(rng.integers(1, 5)))
+              for chi in (0.0, 1e-4, 0.01, 0.1, 0.3) for _ in range(24)]
+    points.append((with_overrides(defaults, t1_us=1e6, t2_us=1e6 + 10, z_b=0.0, xi_se=0.0), 2))
+    coherence = np.zeros((4, 4), dtype=bool)
+    coherence[[1, 2], [2, 1]] = True
+    concurrences = []
+    for params, n_max in points:
+        report = swap_pipeline(params, n_max=n_max)
+        d = n_max + 1  # the {0,1} block, |n_a n_c> = 00, 01, 10, 11
+        block = report.rho_ac.rho.reshape(d, d, d, d)[:2, :2, :2, :2].reshape(4, 4)
+        assert np.abs(block[~np.eye(4, dtype=bool) & ~coherence]).max() <= 1e-15
+        want = wootters_concurrence(block / report.block_total)
+        assert abs(report.concurrence_wootters - want) <= 1e-12
+        concurrences.append(report.concurrence_wootters)
+    assert report.p_es1 == 0.0 and concurrences[-1] == 0.0
+    assert min(concurrences[:-1]) == 0.0 < max(concurrences)
+
+
 def test_fringe_min_at_pi(report_defaults):
     r = report_defaults
     values = [r.p_coinc[t] for t in r.thetas]
@@ -438,9 +463,10 @@ def test_entry_cap_applies_to_herald_register(defaults, chi):
 
 
 def test_operator_caches_bounded(defaults):
-    caches = (oracles._beam_splitter_unitary, oracles._pair_source_unitary,
-              fock._mixer, fock._mixer_projectors, fock._retrieval_tables,
-              fock._phase_orders, fock._fringe_table, fock._ideal_fringe_map)
+    operators = (fock._mixer, fock._mixer_projectors, fock._retrieval_tables,
+                 fock._phase_orders, fock._ideal_fringe_map, fock._diagonal_index)
+    caches = ((oracles._beam_splitter_unitary, oracles._pair_source_unitary) + operators
+              + (fock._heralded_link, fock._fringe_phases, fock.default_theta_grid))
     for cache in caches:
         cache.cache_clear()
     state = vacuum(ModeRegister(("spin", "light")))
@@ -453,9 +479,56 @@ def test_operator_caches_bounded(defaults):
     for cache in caches:
         assert cache.cache_info().maxsize == fock.OPERATOR_CACHE_SIZE
         assert cache.cache_info().currsize <= fock.OPERATOR_CACHE_SIZE
-    # the engine's caches are keyed on the cutoff alone: one entry per n_max
-    for cache in caches[2:]:
+    # the engine's operator caches are keyed on the cutoff alone: one entry
+    # per n_max; so are the link (one chi and eta) and the phases (one grid)
+    for cache in operators + (fock._heralded_link, fock._fringe_phases):
         assert cache.cache_info().currsize == 3
+    assert fock.default_theta_grid.cache_info().currsize == 1
+
+
+def test_link_built_once_per_chi_and_eta(defaults):
+    # the link depends on (chi, eta, n_max) alone: fresh storage times reuse
+    # it, a new chi or eta builds a new one, and the cache stays bounded
+    fock._heralded_link.cache_clear()
+    for t2 in np.linspace(3.0, 47.0, 20):
+        swap_pipeline(at_t2(defaults, float(t2)))
+    info = fock._heralded_link.cache_info()
+    assert (info.misses, info.hits) == (1, 19)
+    swap_pipeline(with_overrides(defaults, eta=0.6))
+    swap_pipeline(with_overrides(defaults, chi=0.02))
+    assert fock._heralded_link.cache_info().misses == 3
+    for chi in np.linspace(0.001, 0.2, fock.OPERATOR_CACHE_SIZE + 6):
+        swap_stage(with_overrides(defaults, chi=float(chi)))
+    info = fock._heralded_link.cache_info()
+    assert info.misses == fock.OPERATOR_CACHE_SIZE + 9
+    assert info.currsize == fock.OPERATOR_CACHE_SIZE
+
+
+def test_cached_link_is_read_only(defaults):
+    # every caller shares the cached arrays, so none may write to them
+    link, pair = fock._link_state(defaults, 2, fock.DEFAULT_MAX_ENTRIES)
+    assert np.array_equal(pair, fock._swap_layout(link, 3))
+    for array in (link, pair):
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+def test_per_cutoff_caches_stay_small(defaults):
+    # after one n_max = 7 pipeline the engine's caches hold less than 8 MB:
+    # the phase-order split is applied to the readout state, so the largest
+    # per-cutoff table is the d^6 mixer projector table (4.2 MB at d = 8)
+    d = 8
+    per_cutoff = [f for f in vars(fock).values() if hasattr(f, "cache_info")
+                  and list(inspect.signature(f).parameters) == ["d"]]
+    for cache in per_cutoff:
+        cache.cache_clear()
+    swap_pipeline(defaults, n_max=d - 1, max_entries=10 ** 9)
+    held = [f(d) for f in per_cutoff]
+    held += [fock._heralded_link(defaults.chi, defaults.eta, d - 1),
+             fock._fringe_phases(fock.default_theta_grid(), d - 1)]
+    nbytes = sum(a.nbytes for value in held
+                 for a in (value if isinstance(value, tuple) else (value,)))
+    assert nbytes < 8e6
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -506,14 +579,16 @@ def test_empty_theta_grid_rejected(defaults):
         readout_joints(rho_ac, 0.5, defaults.eta, 0.0, ())
 
 
-# Names of the Schrödinger-picture toolkit and the scalar trial loop, which
-# live in tests/oracles.py as references and nowhere in the package.
+# Names of the Schrödinger-picture toolkit, the scalar trial loop and the
+# general Wootters concurrence, which live in tests/oracles.py as references
+# and nowhere in the package.
 ORACLE_NAMES = (
     "ClickOutcome", "vacuum", "_apply_matrix", "_apply_unitary", "_apply_kraus",
     "apply_beam_splitter", "_beam_splitter_unitary", "_pair_source_unitary",
     "apply_pair_source", "apply_retrieval", "inject_noise", "_click_kraus",
     "measure_click", "partial_trace", "joint_clicks", "_uniform_block",
     "TrialOutcome", "TrialStream", "trial_stream", "_sample_joint", "run_trial",
+    "wootters_concurrence",
 )
 
 
@@ -568,7 +643,7 @@ def _oracle_link(params, spin1, spin2, n_max):
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 def test_link_matches_staged_oracle(defaults, boosted, n_max):
     for params in (defaults, boosted, with_overrides(defaults, chi=0.3, eta=0.9)):
-        got = fock._link_state(params, n_max, fock.DEFAULT_MAX_ENTRIES)
+        got, _ = fock._link_state(params, n_max, fock.DEFAULT_MAX_ENTRIES)
         want = _oracle_link(params, "mem_a", "mem_b1", n_max).rho
         assert np.abs(got - want).max() <= ORACLE_TOL
 
@@ -580,7 +655,7 @@ def test_link_matches_staged_oracle_at_small_chi(defaults):
     for chi in (1e-6, 1e-9):
         params = with_overrides(defaults, chi=chi)
         for n_max in (1, 2, 3, 4):
-            got = fock._link_state(params, n_max, fock.DEFAULT_MAX_ENTRIES)
+            got, _ = fock._link_state(params, n_max, fock.DEFAULT_MAX_ENTRIES)
             want = _oracle_link(params, "mem_a", "mem_b1", n_max).rho
             assert np.abs(got - want).max() <= ORACLE_TOL
 
@@ -608,10 +683,10 @@ def test_chi_zero_is_the_noise_free_limit(defaults):
     small = 1e-9
     for eta in (1.0, 0.5, 1e-6):
         for n_max in (1, 2, 3, 4):
-            at_zero = fock._link_state(with_overrides(defaults, chi=0.0, eta=eta),
+            at_zero, _ = fock._link_state(with_overrides(defaults, chi=0.0, eta=eta),
+                                          n_max, fock.DEFAULT_MAX_ENTRIES)
+            near, _ = fock._link_state(with_overrides(defaults, chi=small, eta=eta),
                                        n_max, fock.DEFAULT_MAX_ENTRIES)
-            near = fock._link_state(with_overrides(defaults, chi=small, eta=eta),
-                                    n_max, fock.DEFAULT_MAX_ENTRIES)
             assert np.abs(at_zero - near).max() <= 2 * small
     for n_max in (1, 2, 3):
         params = with_overrides(defaults, chi=0.0)
@@ -730,5 +805,6 @@ def test_ideal_fringe_map_matches_readout(defaults, boosted, n_max):
         twisted = FockState(report.rho_ac.register,
                             np.outer(phase, phase.conj()) * report.rho_ac.rho)
         for state in (report.rho_ac, twisted):
-            got = np.real(fock._fringe_phases(thetas, n_max) @ (state.rho.T.ravel() @ fringe_map))
+            entries = fock._swap_layout(state.rho, d).ravel()
+            got = np.real(fock._fringe_phases(tuple(thetas), n_max) @ (entries @ fringe_map))
             assert np.abs(got - _ideal_fringe(state, thetas)).max() <= ORACLE_TOL
