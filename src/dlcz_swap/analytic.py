@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-from .params import ExperimentParams, at_t2
+from .params import ExperimentParams, ParamError, at_t2
 
 __all__ = [
     "CorrelationPair",
@@ -54,14 +54,21 @@ class CorrelationPair:
 
     g_b: swap-stage channels (read at t1, background z_b)
     g_ac: verification channels (read at t2, background z_ac)
+
+    g = 1 is the uncorrelated limit: it is reached once the retrieved
+    signal gamma(t) falls below 2**-53 of the noise floor, and every closed
+    form takes it (the exact visibility is 0 there).
     """
 
     g_b: float
     g_ac: float
 
     def __post_init__(self):
-        if not (self.g_b > 1.0 and self.g_ac > 1.0):
-            raise ValueError("cross-correlations must exceed 1 (classical floor)")
+        for name in ("g_b", "g_ac"):
+            value = getattr(self, name)
+            if not value >= 1.0:
+                raise ParamError(f"{name}={value!r} violates: cross-correlation "
+                                 f">= 1 (uncorrelated limit)")
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,8 @@ def visibility(corr: CorrelationPair, form: str = "approx", clamp: bool = True) 
 
     form="approx": V = 1 - 4/g_b - 4/g_ac   (can go negative at low g;
     clamped to 0 with a ClampedVisibilityWarning unless clamp=False)
-    form="exact":  V = 1 / (1 + 4/(g_ac - 1) + 4/(g_b - 1))
+    form="exact":  V = 1 / (1 + 4/(g_ac - 1) + 4/(g_b - 1)), which is 0
+    when either g is 1 (the uncorrelated limit)
     """
     if form == "approx":
         v = 1.0 - 4.0 / corr.g_b - 4.0 / corr.g_ac
@@ -173,6 +181,8 @@ def visibility(corr: CorrelationPair, form: str = "approx", clamp: bool = True) 
     if form == "exact":
         if math.isinf(corr.g_b) and math.isinf(corr.g_ac):
             return 1.0
+        if corr.g_b == 1.0 or corr.g_ac == 1.0:
+            return 0.0
         a = 4.0 / (corr.g_ac - 1.0) if math.isfinite(corr.g_ac) else 0.0
         b = 4.0 / (corr.g_b - 1.0) if math.isfinite(corr.g_b) else 0.0
         return 1.0 / (1.0 + a + b)

@@ -422,19 +422,17 @@ def _check_concurrence_consistency():
     gap = abs(report.concurrence_wootters - report.concurrence_estimator)
     allowance = report.p_ij_spin["p11"] + abs(1.0 - report.block_total)
     # Noise-free limit: no multi-pair terms, no background, unit efficiencies,
-    # negligible storage.  The swapped state is Bell-plus-vacuum and both
-    # routes must land on p_c; 1e-8 covers sqrt(p00*p11), which turns ~1e-17
-    # of float dust on an empty |11> diagonal into ~1e-9 in the estimator and
-    # the closed-form concurrence alike.
+    # negligible storage.  The swapped state is Bell-plus-vacuum with an
+    # exactly empty |11> diagonal, so both routes must land on p_c to rounding.
     ideal = with_overrides(experiment_defaults(), chi=0.0, eta=1.0, gamma0=1.0,
                            tau0_us=1e9, z_b=0.0, z_ac=0.0, xi_se=0.0,
                            t2_us=1e-9)
     rep0 = fock.swap_pipeline(ideal, thetas=(0.0, math.pi / 2, math.pi))
     ideal_gap = max(abs(rep0.concurrence_wootters - rep0.p_c_spin),
                     abs(rep0.concurrence_estimator - rep0.p_c_spin))
-    return (gap <= allowance and ideal_gap <= 1e-8,
+    return (gap <= allowance and ideal_gap <= 1e-14,
             f"|C_w - C_est|={gap:.4f} <= p11+leak={allowance:.4f}; "
-            f"noise-free |C - p_c|={ideal_gap:.2e} <= 1e-8")
+            f"noise-free |C - p_c|={ideal_gap:.2e} <= 1e-14")
 
 
 def _check_clamp_regime():

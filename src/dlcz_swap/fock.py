@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import analytic
 from .params import ExperimentParams, ParamError
@@ -162,13 +161,16 @@ def _lowering(d: int) -> np.ndarray:
 def _mixer(d: int) -> np.ndarray:
     """50/50 mixer on two modes: |10> -> (|10> + |01>) / sqrt(2).
 
-    exp(pi/4 (a (x) a^dag - a^dag (x) a)): the generator is anti-hermitian,
-    so the matrix is exactly unitary on the truncated space; blocks with
-    total photon number above n_max are redistributed within the truncated
-    basis (documented truncation artifact).
+    exp(g) for g = pi/4 (a (x) a^dag - a^dag (x) a).  g is anti-hermitian,
+    so i g is hermitian with eigenpairs (w, v), and exp(g) =
+    v diag(exp(-i w)) v^dag is exactly unitary on the truncated space
+    (Moler & Van Loan, SIAM Rev. 45, 3 (2003)); blocks with total photon
+    number above n_max are redistributed within the truncated basis
+    (documented truncation artifact).
     """
     a = _lowering(d)
-    return expm(math.pi / 4 * (np.kron(a, a.T) - np.kron(a.T, a)))
+    w, v = np.linalg.eigh(1j * math.pi / 4 * (np.kron(a, a.T) - np.kron(a.T, a)))
+    return (v * np.exp(-1j * w)) @ v.conj().T
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -8,8 +8,8 @@ Fock engine computes for the surviving quadruple.  Interference-bearing
 stages are never sampled classically; only multiplexing, routing and the
 storage-time cutoff are.
 
-Randomness is counter-based (Philox) and sliced per trial index, so a batch
-gives bit-identical outcomes for any chunking.
+Randomness is counter-based (Philox4x64-10) and sliced per trial index, so
+a batch gives bit-identical outcomes for any chunking.
 Stream layout, per trial index i:
 
   herald stream        key (seed, stream_offset):   ticks [E*i, E*(i+1)),
@@ -17,6 +17,12 @@ Stream layout, per trial index i:
                        link A-B1 first, then B2-C.
   interference stream  key (seed, stream_offset+1): tick i, four uniforms
                        [u_swap, u_fringe, u_counting, spare].
+
+Tick t of a key is the Philox block of counter (t + 1, 0, 0, 0), the block
+np.random.Philox(key=...).random_raw emits t-th.  run_batch draws the herald
+stream in order, but computes a trial's interference tick from its counter
+(_philox_ticks) only for the trials routed to the swap, a few in 1e4 at the
+defaults; the words are those of the layout above either way.
 
 Each uniform is the double Generator.random() makes of one 64-bit Philox
 word w, u = (w >> 11) * 2**-53.  run_batch decides u < p on the raw word
@@ -59,9 +65,46 @@ CHUNK_TRIALS = 16_384
 _WORDS_PER_TICK = 4  # Philox4x64 emits four 64-bit words per counter tick
 _TWO_53 = float(2 ** 53)  # Generator.random() keeps the top 53 bits of a word
 
+# Philox4x64-10 round multipliers and key bumps (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
 
 def _herald_ticks(m_modes: int) -> int:
     return -(-2 * m_modes // _WORDS_PER_TICK)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple:
+    """High and low 64-bit words of the 128-bit products m * x, the high
+    word built from 32-bit halves (call under np.errstate(over="ignore"))."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _S32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _S32)
+    u = x_lo * m_hi + (t & _LO32)
+    return x_hi * m_hi + (t >> _S32) + (u >> _S32), x * np.uint64(m)
+
+
+def _philox_ticks(seed: int, stream: int, ticks: np.ndarray) -> np.ndarray:
+    """(len(ticks), 4) raw words of the given ticks of key (seed, stream).
+
+    Row j is word for word np.random.Philox(key=[seed, stream]).random_raw
+    at [4 * ticks[j], 4 * ticks[j] + 4): numpy bumps the counter before each
+    block, so tick t is Philox4x64-10 of counter (t + 1, 0, 0, 0).
+    """
+    key = [int(seed), int(stream)]
+    c0 = np.asarray(ticks, dtype=np.uint64) + np.uint64(1)
+    # scalar zeros: the first two rounds multiply the constant words once
+    c1 = c2 = c3 = np.uint64(0)
+    with np.errstate(over="ignore"):
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(key[0]), lo1,
+                              hi0 ^ c3 ^ np.uint64(key[1]), lo0)
+            key = [(k + bump) % 2 ** 64 for k, bump in zip(key, _PHILOX_BUMP)]
+    return np.stack([c0, c1, c2, c3], axis=1)
 
 
 def _below(words: np.ndarray, p: float) -> np.ndarray:
@@ -252,10 +295,12 @@ def run_batch(params: ExperimentParams, n_trials: int,
     in order and merged by plain addition.
 
     Per chunk, the herald words of all trials are compared against the
-    single-mode herald probability in one pass, the per-link and common
-    herald flags are OR-ed column by column, and only routed trials read
-    their swap word.  Only swap-click trials turn their fringe and
-    counting words into uniforms for the table lookup.
+    single-mode herald probability in one pass, and the per-link and common
+    herald flags are OR-ed column by column.  The stream layout is that of
+    the module docstring, but only the routed trials' interference ticks
+    are computed, from their counters (_philox_ticks), in blocks of
+    CHUNK_TRIALS; only swap-click trials turn their fringe and counting
+    words into uniforms for the table lookup.
     """
     if n_trials < 1:
         raise ParamError("n_trials must be >= 1")
@@ -292,16 +337,14 @@ def run_batch(params: ExperimentParams, n_trials: int,
         counting_cut = np.zeros(3)
         p_swap1 = 0.0
 
-    # Both streams start at trial 0 and are read in trial order, so each
-    # chunk's draws are the tick-aligned slices of its trials.
+    # The herald stream is read in trial order, so each chunk's draws are
+    # the tick-aligned slice of its trials; the interference words are
+    # computed from their counters for the routed trials alone.
     herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
-    interference_gen = np.random.Philox(
-        key=np.array([seed, stream_offset + 1], dtype=np.uint64))
+    routed_chunks = []
     for lo in range(0, n_trials, CHUNK_TRIALS):
         count = min(CHUNK_TRIALS, n_trials - lo)
         hits = _below(herald_gen.random_raw(count * words).reshape(count, words), p1)
-        ui = interference_gen.random_raw(count * _WORDS_PER_TICK).reshape(
-            count, _WORDS_PER_TICK)
 
         any1 = hits[:, 0].copy()
         any2 = hits[:, m].copy()
@@ -310,21 +353,27 @@ def run_batch(params: ExperimentParams, n_trials: int,
             any1 |= hits[:, j]
             any2 |= hits[:, m + j]
             common |= hits[:, j] & hits[:, m + j]
-        routed = np.flatnonzero(common & (not aborted_all))
-        sel = routed[_below(ui[routed, 0], p_swap1)]
+        routed_chunks.append(lo + np.flatnonzero(common & (not aborted_all)))
 
         counters["n_eg_ab1"] += int(np.count_nonzero(any1))
         counters["n_eg_b2c"] += int(np.count_nonzero(any2))
         counters["n_eg"] += int(np.count_nonzero(any1 & any2))
-        counters["n_routed"] += routed.size
+    routed_all = np.concatenate(routed_chunks)
+    counters["n_routed"] = routed_all.size
+
+    for start in range(0, routed_all.size, CHUNK_TRIALS):
+        routed = routed_all[start:start + CHUNK_TRIALS]
+        ui = _philox_ticks(seed, stream_offset + 1, routed)
+        swap = _below(ui[:, 0], p_swap1)
+        sel, ui = routed[swap], ui[swap]
         counters["n_es"] += sel.size
 
-        th_idx = (lo + sel) % n_th
-        k_ev = (_uniforms(ui[sel, 1])[:, None] >= fringe_cut[th_idx]).sum(axis=1)
+        th_idx = sel % n_th
+        k_ev = (_uniforms(ui[:, 1])[:, None] >= fringe_cut[th_idx]).sum(axis=1)
         ev1 = k_ev < 2  # JOINT_ORDER: first two outcomes click detector 1
         counters["fourfold"] += int(np.count_nonzero(ev1))
         ff_by_theta += np.bincount(th_idx[ev1], minlength=n_th)
-        k_c = (_uniforms(ui[sel, 2])[:, None] >= counting_cut).sum(axis=1)
+        k_c = (_uniforms(ui[:, 2])[:, None] >= counting_cut).sum(axis=1)
         counting_counts += np.bincount(k_c, minlength=4)
 
     return _assemble(params, n_trials, counters, thetas, n_by_theta,

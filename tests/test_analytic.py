@@ -32,7 +32,7 @@ from dlcz_swap.analytic import (
     visibility,
     zero_crossing_t2,
 )
-from dlcz_swap.params import with_overrides
+from dlcz_swap.params import ParamError, with_overrides
 
 # 0.68 * exp(-320/320) = 0.68 / e
 GAMMA_320 = 0.2501580199965808
@@ -122,6 +122,22 @@ def test_visibility_bounds_grid():
             ve = visibility(corr, form="exact")
             assert 0.0 <= va <= 1.0
             assert 0.0 <= ve < 1.0
+
+
+def test_uncorrelated_limit(defaults):
+    # tau0 = 1 us leaves gamma(60 us) ~ 6e-27, below 2**-53 of the noise
+    # floor, so g rounds to exactly 1: V is 0 there, not a division by zero
+    corr = correlation_pair(with_overrides(defaults, tau0_us=1.0, t1_us=60.0, t2_us=62.0))
+    assert corr.g_b == corr.g_ac == 1.0
+    assert visibility(corr, form="exact") == 0.0
+    assert visibility(CorrelationPair(g_b=1.0, g_ac=40.0), form="exact") == 0.0
+    assert visibility(corr, form="approx", clamp=False) == -7.0
+    assert suppression(corr) == 16.0
+    assert margin(corr, "exact") == -4.0
+    for bad in (dict(g_b=0.5, g_ac=2.0), dict(g_b=2.0, g_ac=math.nan)):
+        name = next(k for k, v in bad.items() if not v >= 1.0)
+        with pytest.raises(ParamError, match=name):
+            CorrelationPair(**bad)
 
 
 def test_visibility_clamp():

@@ -294,17 +294,57 @@ def test_validate_pins_mc_golden_counts(tmp_path, monkeypatch, capsys):
     assert "n_denominator.p_es" in fails[0]
 
 
-def test_cli_import_skips_scipy_optimize():
-    # the root solves are in analytic; scipy.optimize would add ~0.4 s to
-    # every command's start-up
+def test_cli_import_skips_scipy_optimize(tmp_path):
+    # the package needs numpy only: no scipy module is loaded by the import,
+    # nor by the engine, the Monte Carlo and the checks a command runs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    code = "import sys, dlcz_swap.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    code = (
+        "import sys, dlcz_swap.cli as cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        "assert cli.main(['figures', 'fig3', '--trials', '2000', '--out', sys.argv[1]]) == 0\n"
+        "assert cli.main(['validate']) == 0\n"
+        "print(scipy_modules())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# Boundary points of ExperimentParams, one override set each: every command
+# must run (exit 0) or reject the point (exit 2), never crash.  tau0_us = 1
+# at t1 = 60 us leaves gamma(t) below 2**-53 of the noise floor, so g is
+# exactly 1, the uncorrelated limit.
+BOUNDARY_POINTS = {
+    "chi0": ["chi=0"], "chi0.99": ["chi=0.99"],
+    "eta1e-9": ["eta=1e-9"], "eta1": ["eta=1"], "gamma0_1e-9": ["gamma0=1e-9"],
+    "tau0_1": ["tau0_us=1"], "tau0_1_t2_62": ["tau0_us=1", "t1_us=60", "t2_us=62"],
+    "t2_1000": ["t2_us=1000"], "m1": ["m_modes=1"], "m40": ["m_modes=40"],
+    "cutoff_below_t2": ["cutoff_us=1"], "no_background": ["z_b=0", "z_ac=0", "xi_se=0"],
+}
+BOUNDARY_COMMANDS = {
+    "analytic": ["analytic"], "simulate": ["simulate"], "fig2": ["figures", "fig2"],
+    "fig3": ["figures", "fig3"], "fig4": ["figures", "fig4"],
+}
+
+
+@pytest.mark.parametrize("command", BOUNDARY_COMMANDS.values(), ids=BOUNDARY_COMMANDS.keys())
+@pytest.mark.parametrize("point", BOUNDARY_POINTS.values(), ids=BOUNDARY_POINTS.keys())
+def test_boundary_points_never_crash(tmp_path, capsys, command, point):
+    argv = list(command) + ["--out", str(tmp_path)]
+    if command != ["analytic"]:
+        argv += ["--trials", "2000"]
+    for override in point:
+        argv += ["--set", override]
+    code = cli.main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert "parameter error" in capsys.readouterr().err
 
 
 def test_validate_writes_report(tmp_path):

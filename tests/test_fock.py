@@ -386,10 +386,10 @@ def test_ideal_limit_exact(defaults):
     assert r.v_spin == pytest.approx(1.0, abs=1e-9)
     assert r.h_detected == pytest.approx(0.0, abs=1e-9)
     assert r.visibility_fringe == pytest.approx(1.0, abs=1e-9)
-    # estimator becomes exact: C = p_c.  sqrt(p00 * p11) turns ~1e-17 of
-    # numerical dust on the empty |11> diagonal into ~1e-9, hence the bound.
-    assert r.concurrence_estimator == pytest.approx(r.p_c_spin, abs=1e-8)
-    assert r.concurrence_wootters == pytest.approx(r.concurrence_estimator, abs=1e-8)
+    # estimator becomes exact: C = p_c.  The |11> diagonal is exactly empty,
+    # so sqrt(p00 * p11) adds nothing and both routes land on p_c to rounding.
+    assert r.concurrence_estimator == pytest.approx(r.p_c_spin, abs=1e-14)
+    assert r.concurrence_wootters == pytest.approx(r.concurrence_estimator, abs=1e-14)
 
 
 def test_ideal_limit_weak_detection_vacuum(defaults):
@@ -540,6 +540,15 @@ def test_retrieval_adjoint_matches_expm(d):
         w = u[:, ::d].reshape(d, d, d)
         want = np.einsum("aon,aqk->nkoq", w.conj(), w).reshape(d * d, d * d)
         assert np.abs(fock._retrieval_adjoint(d, float(gamma)) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_mixer_matches_expm(d):
+    # the eigh-built 50/50 mixer against the oracle's matrix exponential of
+    # the same generator, and unitary, to rounding
+    u = fock._mixer(d)
+    assert np.abs(u - oracles._beam_splitter_unitary(d, 0.0, math.pi / 4)).max() <= 1e-14
+    assert np.abs(u @ u.conj().T - np.eye(d * d)).max() <= 1e-14
 
 
 def test_new_storage_times_need_no_exponential(defaults, monkeypatch):

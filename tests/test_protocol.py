@@ -210,6 +210,38 @@ def test_raw_words_convert_like_generator():
         assert np.array_equal(protocol._below(raw, p), doubles < p)
 
 
+PHILOX_KEYS = [(seed, stream) for seed in (0, 20260818, 2 ** 63 + 1, 2 ** 64 - 1)
+               for stream in (0, 2 ** 64 - 1)]
+
+
+@pytest.mark.parametrize("seed, stream", PHILOX_KEYS)
+def test_philox_ticks_match_random_raw(seed, stream):
+    # the counter kernel gives numpy's own words for any tick, across chunk
+    # boundaries and for keys with the top bit set
+    n_ticks = 1_000_000
+    ticks = np.concatenate([[0, 1, 16383, 16384],
+                            np.random.default_rng(seed % 997).integers(0, n_ticks, 300)])
+    raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(
+        4 * n_ticks).reshape(n_ticks, 4)
+    assert np.array_equal(protocol._philox_ticks(seed, stream, ticks), raw[ticks])
+
+
+def test_run_batch_builds_only_the_herald_generator(defaults, monkeypatch):
+    # the interference words of routed trials come from their counters, so
+    # the only Philox generator a batch builds is the herald stream's
+    keys = []
+    philox = np.random.Philox
+
+    def recording(*args, **kwargs):
+        keys.append(tuple(int(k) for k in kwargs["key"]))
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(protocol.np.random, "Philox", recording)
+    batch = run_batch(defaults, 100_000, seed=11, stream_offset=4)
+    assert batch.n_routed > 0
+    assert keys == [(11, 4)]
+
+
 def test_multiplexing_exact_even_at_high_chi(defaults):
     # the m-mode union formula is exact, not a small-chi expansion
     n = 200_000
