@@ -60,6 +60,6 @@ print("engine vs closed-form coincidence fringe:")
 print(f"  {'theta':>6} {'engine':>10} {'closed':>10}")
 fringe = fock.swap_pipeline(
     params, thetas=(0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi))
-for theta in fringe.thetas:
+for theta, engine in zip(fringe.thetas, fringe.p_coinc):
     closed = analytic.coincidence_probability(theta, params)
-    print(f"  {theta:6.2f} {fringe.p_coinc[theta]:10.5f} {closed:10.5f}")
+    print(f"  {theta:6.2f} {engine:10.5f} {closed:10.5f}")

@@ -157,7 +157,9 @@ def _fig4(params, args):
     pev1 = float(tables.fringe_cdf[0, 1])  # cumulative through (T,F)
     rows = []
     for m in ms:
-        p_routed = analytic.swap_pair_probability(with_overrides(params, m_modes=m))
+        # past the cutoff every trial aborts, as in run_batch
+        p_routed = (0.0 if params.past_cutoff else
+                    analytic.swap_pair_probability(with_overrides(params, m_modes=m)))
         rows.append((float(m), p_routed * tables.p_swap1 * pev1, 0.0))
     expected = CurveSeries("fourfold_expected", ("m", "rate", "sigma"),
                            tuple(rows), _meta(params, source="engine+analytic"))
@@ -389,9 +391,9 @@ def _check_engine_vs_closed_form():
     # would reject every faithful simulation.
     params = experiment_defaults()
     report = _default_report()
-    closed = {t: analytic.coincidence_probability(t, params) for t in report.thetas}
-    worst = max(abs(report.p_coinc[t] - closed[t]) for t in report.thetas)
-    bound = 5.0 * params.chi * max(closed.values())
+    closed = np.array([analytic.coincidence_probability(t, params) for t in report.thetas])
+    worst = float(np.abs(report.p_coinc - closed).max())
+    bound = 5.0 * params.chi * closed.max()
     return (worst <= bound,
             f"worst |diff|={worst:.3e} bound={bound:.3e} "
             f"(5*chi of fringe max, {len(report.thetas)}-point grid)")

@@ -53,7 +53,6 @@ __all__ = [
     "heralded_spin_state",
     "swap_stage",
     "detector_extra",
-    "readout_joints",
     "swap_pipeline",
     "default_theta_grid",
 ]
@@ -423,24 +422,12 @@ def _fringe_phases(thetas: tuple[float, ...], n_max: int) -> np.ndarray:
 
 def _readout(rho: np.ndarray, d: int, gamma: float, eta: float, p_extra: float,
              phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """readout_joints as arrays over JOINT_ORDER, (fringe, counting), for
-    rho_ac given in the readout layout."""
-    diags = _joint_diags(d, eta, p_extra)
-    s = _retrieval_adjoint(d, gamma)
-    readout = (s.T @ rho @ s).ravel()
-    # the phase-order split goes onto R's entries, so no per-cutoff table
-    # holds more than the d^6 projector entries
-    coeffs = diags @ (_mixer_projectors(d) @ (readout[:, None] * _phase_orders(d)))
-    return np.real(phases @ coeffs.T), np.real(diags @ readout[_diagonal_index(d)])
-
-
-def readout_joints(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
-                   thetas: Sequence[float]) -> tuple[list[dict], dict]:
-    """Joint (detector 1, detector 2) click distributions, keyed by
-    JOINT_ORDER, of the two readouts of rho_ac: behind the verification
-    mixer at each theta (fringe), and with direct per-channel detection
-    (counting).  Both outer memories are retrieved (gamma), and each
-    detector has efficiency eta and extra-click probability p_extra.
+    """Joint (detector 1, detector 2) click distributions over JOINT_ORDER
+    of the two readouts of rho_ac, given in the readout layout: behind the
+    verification mixer at each theta of phases (fringe, (n_theta, 4)), and
+    with direct per-channel detection (counting, (4,)).  Both outer memories
+    are retrieved (gamma), and each detector has efficiency eta and
+    extra-click probability p_extra.
 
     rho_ac is forwarded once through both retrievals to the readout state R
     on (read_a, read_c), which both arms share; R stays in the readout
@@ -450,44 +437,42 @@ def readout_joints(rho_ac: FockState, gamma: float, eta: float, p_extra: float,
     read_c, so an entry of R whose read_c occupations differ by k picks up
     exp(i theta k), and each probability is a trig polynomial of degree
     n_max in theta whose coefficients come from R's entries, split by phase
-    order, contracted with the fixed mixer projectors.  An empty theta grid
-    raises ParamError.
+    order, contracted with the fixed mixer projectors.
     """
-    d = rho_ac.register.dim_per_mode
-    phases = _fringe_phases(tuple(map(float, thetas)), d - 1)
-    fringe, counting = _readout(_swap_layout(rho_ac.rho, d), d, gamma, eta, p_extra, phases)
-    return ([dict(zip(JOINT_ORDER, row)) for row in fringe.tolist()],
-            dict(zip(JOINT_ORDER, counting.tolist())))
+    diags = _joint_diags(d, eta, p_extra)
+    s = _retrieval_adjoint(d, gamma)
+    readout = (s.T @ rho @ s).ravel()
+    # the phase-order split goes onto R's entries, so no per-cutoff table
+    # holds more than the d^6 projector entries
+    coeffs = diags @ (_mixer_projectors(d) @ (readout[:, None] * _phase_orders(d)))
+    return np.real(phases @ coeffs.T), np.real(diags @ readout[_diagonal_index(d)])
 
 
 @dataclass(frozen=True)
 class SwapReport:
     """Everything the engine extracts from one parameter point.
 
-    p_coinc uses the closed-form convention (the four initial-state branches
-    summed unweighted, i.e. 4x the physical joint probability per heralded
-    attempt); p_coinc_joint is the physical joint probability.  Spin-level
-    quantities (p_ij_spin, v_spin, both concurrences) describe rho_ac itself;
-    p_ij_detected comes from the photon-counting verification arm and feeds
-    the suppression parameter h.
+    The detected arms are read-only arrays aligned with thetas and
+    JOINT_ORDER: fringe_joint (n_theta, 4) and counting_joint (4,) are the
+    verification joints given the swap click, and p_coinc (n_theta,) is the
+    fringe 4 p_es1 P(detector 1 clicks) in the closed-form convention (the
+    four initial-state branches summed unweighted).  counting_joint feeds
+    the suppression h_detected.  Spin-level quantities (p_ij_spin, v_spin,
+    p_c_spin, both concurrences) describe rho_ac itself.
     """
 
     p_es1: float
     rho_ac: FockState
     thetas: tuple[float, ...]
-    p_coinc: Mapping[float, float]
-    p_coinc_joint: Mapping[float, float]
-    p_ev1_given_es1: Mapping[float, float]
-    ev_joint_given_es1: Mapping[float, Mapping[tuple, float]]
-    count_joint_given_es1: Mapping[tuple, float]
+    p_coinc: np.ndarray
+    fringe_joint: np.ndarray
+    counting_joint: np.ndarray
     p_ij_spin: Mapping[str, float]
-    p_ij_detected: Mapping[str, float]
     block_total: float
     visibility_fringe: float
     v_spin: float
     h_detected: float
     p_c_spin: float
-    p_c_detected: float
     concurrence_wootters: float
     concurrence_estimator: float
 
@@ -506,9 +491,10 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
     One swap_stage gives p_es1 and rho_ac (the heralded link comes from its
     cache keyed on (chi, eta, n_max)); rho_ac is then taken to the readout
     layout once and stays there: it is forwarded once to its readout state
-    for the detected arms (fringe and counting), the ideal (spin-level)
-    fringe is a fixed linear map of it per cutoff, both evaluated at every
-    theta, and the spin-level quantities are read from its entries: the
+    for the detected arms (_readout), which the report keeps as the arrays
+    fringe_joint and counting_joint over (thetas, JOINT_ORDER); the ideal
+    (spin-level) fringe is a fixed linear map of it per cutoff, evaluated at
+    every theta; and the spin-level quantities are read from its entries: the
     {0,1} block of rho_ac is an X state (n_a + n_c is conserved), so its
     Wootters concurrence is 2 max(0, |rho_01,10| - sqrt(rho_00 rho_11))
     (Wootters, PRL 80, 2245 (1998); Yu & Eberly, QIC 7, 459 (2007)).  An
@@ -525,9 +511,8 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
     gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
     extra2 = detector_extra(params, params.t2_us, params.z_ac)
     fringe, counting = _readout(rho, d, gamma2, params.eta, extra2, phases)
-    p_ev1 = fringe[:, 0] + fringe[:, 1]
-    values = 4.0 * p_es1 * p_ev1
-    p11, p10, p01, p00 = counting.tolist()
+    p_coinc = 4.0 * p_es1 * (fringe[:, 0] + fringe[:, 1])
+    p11, p10, p01, _ = counting.tolist()
     h_det = p11 / (p10 * p01) if p10 > 0 and p01 > 0 else math.inf
 
     # spin-level quantities of rho_ac itself, from its {0,1} occupation block
@@ -549,20 +534,15 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
         p_es1=p_es1,
         rho_ac=rho_ac,
         thetas=thetas,
-        p_coinc=dict(zip(thetas, values.tolist())),
-        p_coinc_joint=dict(zip(thetas, (p_es1 * p_ev1).tolist())),
-        p_ev1_given_es1=dict(zip(thetas, p_ev1.tolist())),
-        ev_joint_given_es1={theta: dict(zip(JOINT_ORDER, row))
-                            for theta, row in zip(thetas, fringe.tolist())},
-        count_joint_given_es1=dict(zip(JOINT_ORDER, (p11, p10, p01, p00))),
+        p_coinc=_read_only(p_coinc),
+        fringe_joint=_read_only(fringe),
+        counting_joint=_read_only(counting),
         p_ij_spin={"p00": s00, "p01": s01, "p10": s10, "p11": s11},
-        p_ij_detected={"p11": p11, "p10": p10, "p01": p01, "p00": p00},
         block_total=block_total,
-        visibility_fringe=_visibility(values),
+        visibility_fringe=_visibility(p_coinc),
         v_spin=v_spin,
         h_detected=h_det,
         p_c_spin=p_c_spin,
-        p_c_detected=p10 + p01,
         concurrence_wootters=c_wootters,
         concurrence_estimator=c_estimator,
     )

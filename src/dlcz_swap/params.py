@@ -20,8 +20,6 @@ __all__ = [
     "at_t2",
     "experiment_defaults",
     "load_params",
-    "parse_config",
-    "serialize_config",
     "with_overrides",
 ]
 
@@ -111,6 +109,12 @@ class ExperimentParams:
     @property
     def delta_t_us(self) -> float:
         return self.t2_us - self.t1_us
+
+    @property
+    def past_cutoff(self) -> bool:
+        """The verification readout t2 lies past the storage-time cutoff, so
+        every trial aborts before the swap."""
+        return self.cutoff_us is not None and self.t2_us > self.cutoff_us
 
     def as_dict(self) -> dict:
         """Plain dict of the physical fields (no provenance)."""
@@ -217,16 +221,3 @@ def load_params(path=None, overrides: Mapping[str, object] | None = None) -> Exp
             prov[k] = "override"
     return ExperimentParams(provenance=prov, **values)
 
-
-def serialize_config(params: ExperimentParams, include_provenance: bool = True) -> str:
-    """Emit a config-file text that parses back to an equal params value."""
-    lines = []
-    if include_provenance:
-        lines.append("# key = value        (provenance in trailing comment)")
-    for key in CONFIG_KEYS:
-        value = getattr(params, key)
-        if key == "cutoff_us" and value is None:
-            continue
-        comment = f"  # {params.provenance.get(key, '?')}" if include_provenance else ""
-        lines.append(f"{key} = {value!r}{comment}")
-    return "\n".join(lines) + "\n"

@@ -59,7 +59,8 @@ __all__ = [
 
 # Maximum trials vectorized per chunk; chunk boundaries are tick-aligned so
 # the decomposition never changes the sampled outcomes.  Sized for cache: at
-# m=32 a chunk's herald decisions are a 1 MB bool block.
+# m=32 a chunk's herald decisions are a 1 MB bool block, and above m=32 a
+# chunk holds fewer trials, so that block is the largest for any m.
 CHUNK_TRIALS = 16_384
 
 _WORDS_PER_TICK = 4  # Philox4x64 emits four 64-bit words per counter tick
@@ -149,13 +150,15 @@ class ConditionalTables:
     report: fock.SwapReport = field(compare=False, repr=False)
 
 
-def _joint_cdf(joint: dict) -> np.ndarray:
-    probs = np.array([max(joint[key], 0.0) for key in JOINT_ORDER])
-    total = probs.sum()
-    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
-        raise RuntimeError(f"conditional joint not normalized: sum={total!r}")
-    cdf = np.cumsum(probs / total)
-    cdf[-1] = 1.0
+def _joint_cdf(joint: np.ndarray) -> np.ndarray:
+    """Cumulative distributions along the last axis (JOINT_ORDER) of joint,
+    negative rounding clipped to 0 and each row renormalized."""
+    probs = np.maximum(joint, 0.0)
+    total = probs.sum(axis=-1, keepdims=True)
+    if not np.all(np.abs(total - 1.0) <= 1e-6):
+        raise RuntimeError(f"conditional joint not normalized: sums={total.ravel()!r}")
+    cdf = np.cumsum(probs / total, axis=-1)
+    cdf[..., -1] = 1.0
     return cdf
 
 
@@ -166,9 +169,8 @@ def _tables_cached(params: ExperimentParams, thetas: tuple) -> ConditionalTables
     return ConditionalTables(
         p_swap1=report.p_es1,
         thetas=thetas,
-        fringe_cdf=np.array([_joint_cdf(report.ev_joint_given_es1[t])
-                             for t in report.thetas]),
-        counting_cdf=_joint_cdf(report.count_joint_given_es1),
+        fringe_cdf=_joint_cdf(report.fringe_joint),
+        counting_cdf=_joint_cdf(report.counting_joint),
         report=report,
     )
 
@@ -294,9 +296,11 @@ def run_batch(params: ExperimentParams, n_trials: int,
     sequence is bit-identical for any CHUNK_TRIALS; chunks are evaluated
     in order and merged by plain addition.
 
-    Per chunk, the herald words of all trials are compared against the
-    single-mode herald probability in one pass, and the per-link and common
-    herald flags are OR-ed column by column.  The stream layout is that of
+    A chunk holds CHUNK_TRIALS trials, or fewer above m = 32, so that it
+    never draws more herald words than the m = 32 chunk.  Per chunk, the
+    herald words of all trials are compared against the single-mode herald
+    probability in one pass, and the per-link and common herald flags are
+    OR-ed column by column.  The stream layout is that of
     the module docstring, but only the routed trials' interference ticks
     are computed, from their counters (_philox_ticks), in blocks of
     CHUNK_TRIALS; only swap-click trials turn their fringe and counting
@@ -314,7 +318,7 @@ def run_batch(params: ExperimentParams, n_trials: int,
     m = params.m_modes
     p1 = analytic.single_mode_herald_probability(params)
     words = _herald_ticks(m) * _WORDS_PER_TICK
-    aborted_all = params.cutoff_us is not None and params.t2_us > params.cutoff_us
+    aborted_all = params.past_cutoff
     # no trial can reach the swap without heralds or past the cutoff
     tables = None
     if p1 > 0 and not aborted_all:
@@ -341,9 +345,10 @@ def run_batch(params: ExperimentParams, n_trials: int,
     # the tick-aligned slice of its trials; the interference words are
     # computed from their counters for the routed trials alone.
     herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
+    step = min(CHUNK_TRIALS, max(1, CHUNK_TRIALS * 64 // words))
     routed_chunks = []
-    for lo in range(0, n_trials, CHUNK_TRIALS):
-        count = min(CHUNK_TRIALS, n_trials - lo)
+    for lo in range(0, n_trials, step):
+        count = min(step, n_trials - lo)
         hits = _below(herald_gen.random_raw(count * words).reshape(count, words), p1)
 
         any1 = hits[:, 0].copy()

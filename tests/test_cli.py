@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -10,7 +9,7 @@ import sys
 import pytest
 
 from dlcz_swap import cli, fock, protocol
-from dlcz_swap.params import experiment_defaults, serialize_config, with_overrides
+from dlcz_swap.params import experiment_defaults, with_overrides
 from dlcz_swap.series import read_csv, read_json
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -51,7 +50,9 @@ def test_analytic_set_override(tmp_path):
 
 def test_config_file_flow(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(serialize_config(with_overrides(experiment_defaults(), chi=0.05)))
+    text = (ROOT / "demos" / "experiment.cfg").read_text()
+    assert "\nchi = 0.01 " in text
+    cfg.write_text(text.replace("\nchi = 0.01 ", "\nchi = 0.05 "))
     assert cli.main(["analytic", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "analytic.json").read_text())
     assert payload["metadata"]["params"]["chi"] == 0.05
@@ -175,13 +176,34 @@ def test_fig4_multiplexing_linear(tmp_path):
         assert abs(y_mc - y_exp) < 4.5 * max(sig, 1e-9)
 
 
-def test_simulate_rerun_byte_identical(tmp_path):
-    base = ["simulate", "--trials", "20000", "--seed", "7"]
+RERUN_COMMANDS = {"simulate": ["simulate"], "fig3": ["figures", "fig3"],
+                  "fig4": ["figures", "fig4"]}
+
+
+@pytest.mark.parametrize("command", RERUN_COMMANDS.values(), ids=RERUN_COMMANDS.keys())
+def test_simulate_rerun_byte_identical(tmp_path, src_env, command):
+    # the rerun is a fresh interpreter, so its caches start cold while this
+    # process's are warm from the tests before: the files must not tell
+    argv = list(command) + ["--trials", "20000", "--seed", "5"]
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    assert cli.main(base + ["--out", str(d1)]) == 0
-    assert cli.main(base + ["--out", str(d2)]) == 0
-    assert (d1 / "simulate.json").read_bytes() == (d2 / "simulate.json").read_bytes()
-    assert (d1 / "simulate.csv").read_bytes() == (d2 / "simulate.csv").read_bytes()
+    assert cli.main(argv + ["--out", str(d1)]) == 0
+    proc = subprocess.run([sys.executable, "-m", "dlcz_swap.cli", *argv, "--out", str(d2)],
+                          env=src_env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(path.name for path in d1.iterdir())
+    assert names and names == sorted(path.name for path in d2.iterdir())
+    for name in names:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_fig4_expected_rate_is_zero_past_the_cutoff(tmp_path):
+    # t2 = 2 us lies past a 1 us cutoff, so every trial aborts: the expected
+    # fourfold rate is 0, as the Monte Carlo's is
+    assert cli.main(["figures", "fig4", "--set", "cutoff_us=1", "--trials", "20000",
+                     "--seed", "5", "--format", "json", "--out", str(tmp_path)]) == 0
+    curves = {c.name: c for c in read_json(str(tmp_path / "fig4.json"))}
+    assert [row[1] for row in curves["fourfold_mc"].rows] == [0.0, 0.0, 0.0]
+    assert [row[1] for row in curves["fourfold_expected"].rows] == [0.0, 0.0, 0.0]
 
 
 def test_simulate_output_shape(tmp_path, capsys):
@@ -294,12 +316,9 @@ def test_validate_pins_mc_golden_counts(tmp_path, monkeypatch, capsys):
     assert "n_denominator.p_es" in fails[0]
 
 
-def test_cli_import_skips_scipy_optimize(tmp_path):
+def test_cli_import_skips_scipy_optimize(tmp_path, src_env):
     # the package needs numpy only: no scipy module is loaded by the import,
     # nor by the engine, the Monte Carlo and the checks a command runs
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     code = (
         "import sys, dlcz_swap.cli as cli\n"
         "def scipy_modules():\n"
@@ -309,7 +328,7 @@ def test_cli_import_skips_scipy_optimize(tmp_path):
         "assert cli.main(['validate']) == 0\n"
         "print(scipy_modules())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=src_env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"

@@ -6,8 +6,11 @@ The elementary operators are those of the Schrödinger-picture oracle
 pair-source weights), not against the implementation's own matrices.
 """
 
+import dataclasses
 import inspect
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,14 +18,13 @@ from scipy import stats
 
 import dlcz_swap
 import oracles
-from dlcz_swap import fock, protocol
+from dlcz_swap import analytic, cli, fock, protocol, series
 from dlcz_swap.fock import (
     DimensionError,
     FockState,
     ModeRegister,
     detector_extra,
     heralded_spin_state,
-    readout_joints,
     swap_pipeline,
     swap_stage,
 )
@@ -45,6 +47,14 @@ P_ES1_DEFAULTS = 0.16352378491092773
 V_FRINGE_DEFAULTS = 0.8347916558052182
 C_WOOTTERS_DEFAULTS = 0.3420210911716093
 C_ESTIMATOR_DEFAULTS = 0.32150832047966676
+
+
+def _readout(rho_ac, gamma, eta, p_extra, thetas):
+    """fock._readout of a FockState: (fringe (n_theta, 4), counting (4,)),
+    both over JOINT_ORDER."""
+    d = rho_ac.register.dim_per_mode
+    phases = fock._fringe_phases(tuple(map(float, thetas)), d - 1)
+    return fock._readout(fock._swap_layout(rho_ac.rho, d), d, gamma, eta, p_extra, phases)
 
 
 def _pure(register, occupations):
@@ -316,12 +326,13 @@ def test_swap_regression_values(report_defaults):
 def test_swap_probabilities_consistent(report_defaults):
     r = report_defaults
     assert 0.0 < r.p_es1 < 1.0
-    for theta in r.thetas:
-        joint = r.ev_joint_given_es1[theta]
-        assert sum(joint.values()) == pytest.approx(1.0, abs=1e-9)
-        assert r.p_coinc[theta] == pytest.approx(4.0 * r.p_coinc_joint[theta], rel=1e-12)
-    counting = r.count_joint_given_es1
-    assert sum(counting.values()) == pytest.approx(1.0, abs=1e-9)
+    assert r.fringe_joint.shape == (len(r.thetas), 4) and r.counting_joint.shape == (4,)
+    for joint in r.fringe_joint:
+        assert joint.sum() == pytest.approx(1.0, abs=1e-9)
+    # the closed-form convention: 4 p_es1 P(detector 1 clicks | swap click)
+    p_ev1 = r.fringe_joint[:, 0] + r.fringe_joint[:, 1]
+    assert r.p_coinc == pytest.approx(4.0 * r.p_es1 * p_ev1, rel=1e-12)
+    assert r.counting_joint.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_swap_state_physical(defaults):
@@ -365,9 +376,8 @@ def test_closed_form_concurrence_matches_wootters(defaults):
 
 def test_fringe_min_at_pi(report_defaults):
     r = report_defaults
-    values = [r.p_coinc[t] for t in r.thetas]
-    assert min(values) == pytest.approx(r.p_coinc[math.pi], rel=1e-12)
-    assert max(values) == pytest.approx(r.p_coinc[0.0], rel=1e-12)
+    assert r.p_coinc.min() == pytest.approx(r.p_coinc[r.thetas.index(math.pi)], rel=1e-12)
+    assert r.p_coinc.max() == pytest.approx(r.p_coinc[r.thetas.index(0.0)], rel=1e-12)
 
 
 def test_ideal_limit_exact(defaults):
@@ -412,8 +422,7 @@ def test_truncation_stability(defaults):
                        max_entries=40_000_000)
     bound = 0.2 * defaults.chi
     assert abs(lo.p_es1 - hi.p_es1) <= bound
-    for theta in thetas:
-        assert abs(lo.p_coinc[theta] - hi.p_coinc[theta]) <= bound
+    assert np.abs(lo.p_coinc - hi.p_coinc).max() <= bound
 
 
 def test_heralded_state_symmetry(defaults):
@@ -437,11 +446,11 @@ def test_no_click_rate_mixer_invariant(defaults):
     _, rho_ac = swap_stage(defaults)
     gamma2 = defaults.gamma0 * math.exp(-defaults.t2_us / defaults.tau0_us)
     extra2 = detector_extra(defaults, defaults.t2_us, defaults.z_ac)
-    fringe, count = readout_joints(rho_ac, gamma2, defaults.eta, extra2,
-                                   (0.0, 1.0, math.pi, 4.5))
+    fringe, count = _readout(rho_ac, gamma2, defaults.eta, extra2,
+                             (0.0, 1.0, math.pi, 4.5))
+    none = fock.JOINT_ORDER.index((False, False))
     for joint in fringe:
-        assert joint[(False, False)] == pytest.approx(
-            count[(False, False)], rel=1e-10)
+        assert joint[none] == pytest.approx(count[none], rel=1e-10)
 
 
 def test_truncation_as_number(defaults):
@@ -585,7 +594,7 @@ def test_empty_theta_grid_rejected(defaults):
     with pytest.raises(ParamError, match="theta grid"):
         swap_pipeline(defaults, thetas=())
     with pytest.raises(ParamError, match="theta grid"):
-        readout_joints(rho_ac, 0.5, defaults.eta, 0.0, ())
+        _readout(rho_ac, 0.5, defaults.eta, 0.0, ())
 
 
 # Names of the Schrödinger-picture toolkit, the scalar trial loop and the
@@ -624,11 +633,39 @@ def test_replaced_paths_live_only_in_the_oracle():
         assert "n_max" not in inspect.signature(func).parameters
 
 
+# SwapReport fields the array readout replaced, or that nothing read
+DELETED_REPORT_FIELDS = ("p_coinc_joint", "p_ev1_given_es1", "ev_joint_given_es1",
+                         "count_joint_given_es1", "p_ij_detected", "p_c_detected")
+
+
+def test_public_surface_is_what_the_callers_read(report_defaults, src_env):
+    # the package re-exports nothing, and no public name serves tests alone
+    assert dlcz_swap.__all__ == ["__version__"]
+    assert not hasattr(fock, "readout_joints")
+    assert not hasattr(dlcz_swap.params, "serialize_config")
+    assert "parse_config" not in dlcz_swap.params.__all__
+    fields = {f.name for f in dataclasses.fields(fock.SwapReport)}
+    assert not fields & set(DELETED_REPORT_FIELDS)
+    # one readout format: read-only arrays aligned with thetas and JOINT_ORDER
+    for name in ("p_coinc", "fringe_joint", "counting_joint"):
+        assert not getattr(report_defaults, name).flags.writeable, name
+    # the benchmark's tracer looks up every name of each module's __all__
+    for module in (dlcz_swap, analytic, dlcz_swap.params, fock, protocol, series, cli):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    # the closed forms and the parameters load without numpy
+    code = ("import sys, dlcz_swap.analytic, dlcz_swap.params\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- staged Schroedinger oracle ----------------------------------------------
 #
 # The swap and verification stages evolved as density matrices with the
 # readout modes attached (six modes for the swap), built from the oracle's
-# primitives only.  swap_stage and readout_joints pull the click effects back
+# primitives only.  swap_stage and the readout pull the click effects back
 # onto the spins instead and must agree to rounding.
 
 ORACLE_TOL = 1e-12
@@ -763,14 +800,14 @@ def test_readout_joints_match_staged_oracle(boosted, chi):
     extra2 = detector_extra(params, params.t2_us, params.z_ac)
     thetas = np.random.default_rng(17).uniform(0.0, 2.0 * math.pi, 4)
     for state in (rho_ac, twisted):
-        fringe, counting = readout_joints(state, gamma2, params.eta, extra2, thetas)
+        fringe, counting = _readout(state, gamma2, params.eta, extra2, thetas)
         for theta, got in zip(thetas, fringe):
             want = _oracle_readout(state, gamma2, params.eta, extra2, theta)
-            for key, value in want.items():
-                assert abs(got[key] - value) <= ORACLE_TOL
+            for j, key in enumerate(fock.JOINT_ORDER):
+                assert abs(got[j] - want[key]) <= ORACLE_TOL
         want = _oracle_readout(state, gamma2, params.eta, extra2)
-        for key, value in want.items():
-            assert abs(counting[key] - value) <= ORACLE_TOL
+        for j, key in enumerate(fock.JOINT_ORDER):
+            assert abs(counting[j] - want[key]) <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("chi", [None, 0.0], ids=["heralded", "ideal"])
@@ -793,8 +830,8 @@ def test_swap_stage_zero_click_keeps_outer_marginals(defaults, chi):
 
 def _ideal_fringe(state, thetas):
     """Spin-level P(detector 1 clicks) from the general readout."""
-    fringe, _ = readout_joints(state, 1.0, 1.0, 0.0, thetas)
-    return np.array([joint[(True, True)] + joint[(True, False)] for joint in fringe])
+    fringe, _ = _readout(state, 1.0, 1.0, 0.0, thetas)
+    return fringe[:, 0] + fringe[:, 1]  # JOINT_ORDER: (T, T) and (T, F)
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])

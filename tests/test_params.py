@@ -1,6 +1,7 @@
 """Parameter container: validation, config parsing, provenance tracking."""
 
 import math
+import pathlib
 
 import pytest
 
@@ -10,9 +11,10 @@ from dlcz_swap.params import (
     experiment_defaults,
     load_params,
     parse_config,
-    serialize_config,
     with_overrides,
 )
+
+DEMO_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "demos" / "experiment.cfg"
 
 
 def test_defaults_values():
@@ -104,7 +106,10 @@ def test_unknown_key_rejected():
 
 def test_config_round_trip(tmp_path):
     p = with_overrides(experiment_defaults(), chi=0.03, t2_us=12.0, cutoff_us=40.0)
-    text = serialize_config(p)
+    text = ("# key = value  (comments run to the end of a line)\n"
+            "chi = 0.03  # override\neta = 0.5\ngamma0 = 0.68\ntau0_us = 320.0\n"
+            "z_b = 0.001\nz_ac = 0.003\nxi_se = 0.3\nf_cav = 10.0\nm_modes = 3\n"
+            "t1_us = 0.0\nt2_us = 12.0\ncutoff_us = 40.0\n")
     parsed = parse_config(text)
     assert parsed == p.as_dict()
     # and through a file
@@ -115,16 +120,16 @@ def test_config_round_trip(tmp_path):
     assert r.provenance_dict()["chi"] == "file"
 
 
-def test_serialize_skips_disabled_cutoff():
-    text = serialize_config(experiment_defaults())
+def test_demo_config_is_the_defaults():
+    # the shipped config spells out the defaults and leaves the cutoff disabled
+    text = DEMO_CONFIG.read_text()
     assert "cutoff_us" not in text
     assert parse_config(text).get("cutoff_us") is None
+    assert load_params(str(DEMO_CONFIG)).as_dict() == experiment_defaults().as_dict()
 
 
-def test_load_params_string_overrides(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(serialize_config(experiment_defaults()))
-    p = load_params(str(path), {"chi": "0.05", "m_modes": "2", "cutoff_us": "none"})
+def test_load_params_string_overrides():
+    p = load_params(str(DEMO_CONFIG), {"chi": "0.05", "m_modes": "2", "cutoff_us": "none"})
     assert p.chi == 0.05
     assert p.m_modes == 2
     assert p.cutoff_us is None

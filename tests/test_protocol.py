@@ -115,13 +115,16 @@ def test_run_trial_lowest_common_mode(boosted):
 
 
 # (m, overrides): every m the column loop sees, from empty (m=1) to a
-# herald block spanning 20 ticks (m=40); then the cutoff-abort and chi=0 paths
+# herald block spanning 20 ticks (m=40), and m=200, whose chunks are capped
+# at the m=32 herald block (21 trials at CHUNK_TRIALS = 137); then the
+# cutoff-abort and chi=0 paths
 SCALAR_CASES = {
     "m1": (1, {}),
     "m3": (3, {}),
     "m12": (12, {}),
     "m32": (32, {}),
     "m40": (40, {}),
+    "m200": (200, {}),
     "cutoff-abort": (3, dict(t1_us=0.0, t2_us=50.0, cutoff_us=30.0)),
     "chi0": (3, dict(chi=0.0)),
 }
@@ -240,6 +243,26 @@ def test_run_batch_builds_only_the_herald_generator(defaults, monkeypatch):
     batch = run_batch(defaults, 100_000, seed=11, stream_offset=4)
     assert batch.n_routed > 0
     assert keys == [(11, 4)]
+
+
+def test_herald_draws_stay_within_the_m32_block(defaults, monkeypatch):
+    # no chunk draws more than CHUNK_TRIALS * 64 herald words, the m = 32
+    # block, so the herald block does not grow with the mode count
+    requests = []
+    philox = np.random.Philox
+
+    class Recording:
+        def __init__(self, *args, **kwargs):
+            self.generator = philox(*args, **kwargs)
+
+        def random_raw(self, size):
+            requests.append(size)
+            return self.generator.random_raw(size)
+
+    monkeypatch.setattr(protocol.np.random, "Philox", Recording)
+    for m in (3, 32, 200):
+        run_batch(with_overrides(defaults, m_modes=m), 40_000, seed=3)
+    assert max(requests) == protocol.CHUNK_TRIALS * 64  # reached at m = 32
 
 
 def test_multiplexing_exact_even_at_high_chi(defaults):
