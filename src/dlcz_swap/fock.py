@@ -114,9 +114,10 @@ class ModeRegister:
             raise KeyError(f"no mode {label!r} in register {self.labels}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockState:
-    """Density matrix on a ModeRegister (flat index, C-order over modes)."""
+    """Density matrix on a ModeRegister (flat index, C-order over modes).
+    == is identity: an array has no single truth value to compare."""
 
     register: ModeRegister
     rho: np.ndarray = field(repr=False)
@@ -448,7 +449,7 @@ def _readout(rho: np.ndarray, d: int, gamma: float, eta: float, p_extra: float,
     return np.real(phases @ coeffs.T), np.real(diags @ readout[_diagonal_index(d)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapReport:
     """Everything the engine extracts from one parameter point.
 
@@ -458,7 +459,7 @@ class SwapReport:
     fringe 4 p_es1 P(detector 1 clicks) in the closed-form convention (the
     four initial-state branches summed unweighted).  counting_joint feeds
     the suppression h_detected.  Spin-level quantities (p_ij_spin, v_spin,
-    p_c_spin, both concurrences) describe rho_ac itself.
+    p_c_spin, both concurrences) describe rho_ac itself.  == is identity.
     """
 
     p_es1: float

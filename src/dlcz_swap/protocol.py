@@ -58,9 +58,9 @@ __all__ = [
 ]
 
 # Maximum trials vectorized per chunk; chunk boundaries are tick-aligned so
-# the decomposition never changes the sampled outcomes.  Sized for cache: at
-# m=32 a chunk's herald decisions are a 1 MB bool block, and above m=32 a
-# chunk holds fewer trials, so that block is the largest for any m.
+# the decomposition never changes the sampled outcomes.  Sized for cache: no
+# chunk draws more than CHUNK_TRIALS * 8 herald words, a 1 MB block; m <= 4
+# runs full chunks, larger m proportionally fewer trials per chunk.
 CHUNK_TRIALS = 16_384
 
 _WORDS_PER_TICK = 4  # Philox4x64 emits four 64-bit words per counter tick
@@ -127,27 +127,63 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * (1.0 / _TWO_53)
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2 ** 64:
-        raise ParamError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+def _check_seed(seed: int, name: str = "seed", stop: int = 2 ** 64) -> int:
+    """seed as an int in [0, stop), for a 64-bit Philox key word."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < stop:
+        raise ParamError(f"{name} must be an integer in [0, {stop}), got {seed!r}")
     return int(seed)
 
 
-@dataclass(frozen=True)
+def _herald_flags(hits: np.ndarray, m: int) -> tuple:
+    """(link A heralded, link B heralded, common index) per row of a bool
+    herald block, link A in columns [0, m) and link B in [m, 2m).
+
+    The rows are read as little-endian machine words, w bytes per lane, so
+    one lane holds w modes, mode j in bits [8j, 8j + 8).  Each of A's lanes
+    meets B's bytes shifted onto it; A's last lane is masked to A's bytes.
+    """
+    lane_t = np.dtype("<u8" if hits.shape[1] % 8 == 0 else "<u4")
+    lanes = hits.view(lane_t)
+    w = lane_t.itemsize
+    q, s = divmod(m, w)
+    n_a = -(-m // w)  # lanes holding A's bytes
+    zero = lane_t.type(0)
+
+    def lane(k):  # a lane past the row reads as 0
+        return lanes[:, k] if k < lanes.shape[1] else zero
+
+    # lane-typed scalars: a Python int would make NumPy 1.x promote to float64;
+    # the high lane moves in two shifts, so s = 0 never shifts by the width
+    right, left, byte = (lane_t.type(8 * s), lane_t.type(8 * (w - 1 - s)),
+                         lane_t.type(8))
+    last = lane_t.type((1 << 8 * (m - (n_a - 1) * w)) - 1)
+    any1, any2, common = np.zeros((3, hits.shape[0]), dtype=bool)
+    for k in range(n_a):
+        a = lane(k)
+        b = (lane(k + q) >> right) | ((lane(k + q + 1) << left) << byte)
+        if k == n_a - 1:
+            a, b = a & last, b & last
+        any1 |= a != 0
+        any2 |= b != 0
+        common |= (a & b) != 0
+    return any1, any2, common
+
+
+@dataclass(frozen=True, eq=False)
 class ConditionalTables:
     """Engine-computed click distributions for the heralded quadruple.
 
     p_swap1 is the designated swap-detector click probability given routing;
     fringe_cdf[j] and counting_cdf are cumulative joint distributions over
     JOINT_ORDER, conditioned on that click.  report is the engine's
-    SwapReport they were read from.
+    SwapReport they were read from.  == is identity.
     """
 
     p_swap1: float
     thetas: tuple
     fringe_cdf: np.ndarray   # (n_theta, 4)
     counting_cdf: np.ndarray  # (4,)
-    report: fock.SwapReport = field(compare=False, repr=False)
+    report: fock.SwapReport = field(repr=False)
 
 
 def _joint_cdf(joint: np.ndarray) -> np.ndarray:
@@ -181,7 +217,7 @@ def conditional_tables(params: ExperimentParams,
     return _tables_cached(params, tuple(float(t) for t in thetas))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwapStatistics:
     """Accumulated counts and derived estimates of one batch.
 
@@ -198,7 +234,7 @@ class SwapStatistics:
     and counting arms use independent uniforms, so their errors combine
     without covariance.  Concurrence uses the approximate estimator
     p_c*(V - sqrt(h)); concurrence_raw keeps the unclamped value so zero
-    crossings stay visible.
+    crossings stay visible.  == is identity: field-wise == on arrays raises.
     """
 
     n_trials: int
@@ -296,11 +332,12 @@ def run_batch(params: ExperimentParams, n_trials: int,
     sequence is bit-identical for any CHUNK_TRIALS; chunks are evaluated
     in order and merged by plain addition.
 
-    A chunk holds CHUNK_TRIALS trials, or fewer above m = 32, so that it
-    never draws more herald words than the m = 32 chunk.  Per chunk, the
-    herald words of all trials are compared against the single-mode herald
-    probability in one pass, and the per-link and common herald flags are
-    OR-ed column by column.  The stream layout is that of
+    A chunk holds CHUNK_TRIALS trials, or fewer above m = 4, so that it
+    never draws more than CHUNK_TRIALS * 8 herald words (1 MB).  Per chunk,
+    the herald words of all trials are compared against the single-mode
+    herald probability in one pass, and the per-link and common herald
+    flags are OR-ed over machine words, 4 or 8 modes at a time
+    (_herald_flags).  The stream layout is that of
     the module docstring, but only the routed trials' interference ticks
     are computed, from their counters (_philox_ticks), in blocks of
     CHUNK_TRIALS; only swap-click trials turn their fringe and counting
@@ -309,6 +346,8 @@ def run_batch(params: ExperimentParams, n_trials: int,
     if n_trials < 1:
         raise ParamError("n_trials must be >= 1")
     seed = _check_seed(seed)
+    # the interference key word is stream_offset + 1, so it too must fit 64 bits
+    stream_offset = _check_seed(stream_offset, "stream_offset", 2 ** 64 - 1)
     if theta_grid is None:
         theta_grid = fock.default_theta_grid()
     thetas = np.array([float(t) for t in theta_grid])
@@ -345,19 +384,12 @@ def run_batch(params: ExperimentParams, n_trials: int,
     # the tick-aligned slice of its trials; the interference words are
     # computed from their counters for the routed trials alone.
     herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
-    step = min(CHUNK_TRIALS, max(1, CHUNK_TRIALS * 64 // words))
+    step = min(CHUNK_TRIALS, max(1, CHUNK_TRIALS * 8 // words))
     routed_chunks = []
     for lo in range(0, n_trials, step):
         count = min(step, n_trials - lo)
         hits = _below(herald_gen.random_raw(count * words).reshape(count, words), p1)
-
-        any1 = hits[:, 0].copy()
-        any2 = hits[:, m].copy()
-        common = hits[:, 0] & hits[:, m]
-        for j in range(1, m):
-            any1 |= hits[:, j]
-            any2 |= hits[:, m + j]
-            common |= hits[:, j] & hits[:, m + j]
+        any1, any2, common = _herald_flags(hits, m)
         routed_chunks.append(lo + np.flatnonzero(common & (not aborted_all)))
 
         counters["n_eg_ab1"] += int(np.count_nonzero(any1))

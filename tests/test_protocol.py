@@ -6,6 +6,7 @@ rebuild the documented Philox layout with numpy directly, so a regression
 in the advance arithmetic cannot hide behind itself.
 """
 
+import dataclasses
 import json
 import math
 
@@ -114,10 +115,10 @@ def test_run_trial_lowest_common_mode(boosted):
     assert out.routed_mode == 2
 
 
-# (m, overrides): every m the column loop sees, from empty (m=1) to a
-# herald block spanning 20 ticks (m=40), and m=200, whose chunks are capped
-# at the m=32 herald block (21 trials at CHUNK_TRIALS = 137); then the
-# cutoff-abort and chi=0 paths
+# (m, overrides): m from one 4-byte lane per link (m=1) to a herald block
+# spanning 20 ticks (m=40), and m=200, whose chunks are capped at the
+# CHUNK_TRIALS * 8-word herald block (2 trials at CHUNK_TRIALS = 137); then
+# the cutoff-abort and chi=0 paths
 SCALAR_CASES = {
     "m1": (1, {}),
     "m3": (3, {}),
@@ -245,9 +246,9 @@ def test_run_batch_builds_only_the_herald_generator(defaults, monkeypatch):
     assert keys == [(11, 4)]
 
 
-def test_herald_draws_stay_within_the_m32_block(defaults, monkeypatch):
-    # no chunk draws more than CHUNK_TRIALS * 64 herald words, the m = 32
-    # block, so the herald block does not grow with the mode count
+def test_herald_draws_stay_within_the_1mb_block(defaults, monkeypatch):
+    # no chunk draws more than CHUNK_TRIALS * 8 herald words, a 1 MB block,
+    # so the herald block does not grow with the mode count
     requests = []
     philox = np.random.Philox
 
@@ -262,7 +263,81 @@ def test_herald_draws_stay_within_the_m32_block(defaults, monkeypatch):
     monkeypatch.setattr(protocol.np.random, "Philox", Recording)
     for m in (3, 32, 200):
         run_batch(with_overrides(defaults, m_modes=m), 40_000, seed=3)
-    assert max(requests) == protocol.CHUNK_TRIALS * 64  # reached at m = 32
+    assert max(requests) == protocol.CHUNK_TRIALS * 8  # reached at m = 3 and 32
+
+
+def _column_flags(hits, m):
+    # the per-mode reference: link A in columns [0, m), link B in [m, 2m)
+    a, b = hits[:, :m], hits[:, m:2 * m]
+    return a.any(axis=1), b.any(axis=1), (a & b).any(axis=1)
+
+
+HERALD_MODES = list(range(1, 41)) + [200]
+
+
+@pytest.mark.parametrize("density", (0.0, 0.01, 0.08, 0.5, 1.0))
+def test_herald_flags_match_column_loop(density):
+    # the machine-word reduction gives the per-mode flags, for 4-byte lanes
+    # (m = 1, 2, 5, 6, ...) and 8-byte ones, with the padding words of a
+    # row's last tick set as often as the heralds
+    rng = np.random.default_rng(round(density * 100))
+    widths = set()
+    for m in HERALD_MODES:
+        words = 4 * -(-2 * m // 4)
+        widths.add(words % 8)
+        hits = rng.random((300, words)) < density
+        got = protocol._herald_flags(hits, m)
+        for flag, want in zip(got, _column_flags(hits, m)):
+            assert np.array_equal(flag, want), (m, density)
+    assert widths == {0, 4}
+
+
+# run_batch counters at chi=0.1, eta=0.8, 100 000 trials, seed 20260818, as
+# the per-mode column loop gave them: m = 3 runs full chunks, and m = 32
+# and 40 the shortest chunks of the largest herald rows
+FULL_CHUNK_PINS = {
+    3: dict(n_eg_ab1=22097, n_eg_b2c=22064, n_eg=4941, n_routed=1925, n_es=640,
+            fourfold=177, counting_counts=[54, 139, 141, 306],
+            fourfold_by_theta=[6, 11, 10, 14, 8, 9, 9, 13, 8, 7, 6, 10, 16, 16, 16, 18]),
+    32: dict(n_eg_ab1=92909, n_eg_b2c=92971, n_eg=86363, n_routed=18621, n_es=6199,
+             fourfold=1722, counting_counts=[498, 1397, 1304, 3000],
+             fourfold_by_theta=[138, 123, 137, 113, 107, 95, 99, 83, 70, 65, 84, 87,
+                                114, 128, 127, 152]),
+    40: dict(n_eg_ab1=96413, n_eg_b2c=96353, n_eg=92911, n_routed=22557, n_es=7389,
+             fourfold=2108, counting_counts=[585, 1536, 1581, 3687],
+             fourfold_by_theta=[175, 200, 167, 130, 117, 106, 113, 96, 90, 91, 109, 118,
+                                137, 124, 164, 171]),
+}
+
+
+@pytest.mark.parametrize("m", FULL_CHUNK_PINS)
+def test_full_chunk_counts_pinned(boosted, m):
+    batch = run_batch(with_overrides(boosted, m_modes=m), 100_000, seed=20260818)
+    assert batch.n_aborted == 0
+    for key, want in FULL_CHUNK_PINS[m].items():
+        assert np.array_equal(getattr(batch, key), want), key
+
+
+@pytest.mark.parametrize("offset", (-1, 1.5, "0", 2 ** 64 - 1, 2 ** 64))
+def test_stream_offset_validated(defaults, offset):
+    # the interference key word is stream_offset + 1, so 2**64 - 1 has no room
+    with pytest.raises(ParamError, match="stream_offset"):
+        run_batch(defaults, 10, seed=1, stream_offset=offset)
+
+
+def test_stream_offset_top_value_runs(defaults):
+    batch = run_batch(defaults, 10, seed=1, stream_offset=np.uint64(2 ** 64 - 2))
+    assert batch.stream_offset == 2 ** 64 - 2 and type(batch.stream_offset) is int
+
+
+def test_results_compare_by_identity(boosted):
+    # results holding arrays compare by identity: field-wise == would ask an
+    # array for a single truth value and raise
+    a, b = run_batch(boosted, 2000, seed=1), run_batch(boosted, 2000, seed=1)
+    assert a == a and a != b
+    report = conditional_tables(boosted, (0.0, 1.0)).report
+    for x in (conditional_tables(boosted, (0.0, 1.0)), report, report.rho_ac):
+        assert x == x and x != dataclasses.replace(x)
 
 
 def test_multiplexing_exact_even_at_high_chi(defaults):
