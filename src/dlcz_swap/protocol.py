@@ -8,21 +8,37 @@ Fock engine computes for the surviving quadruple.  Interference-bearing
 stages are never sampled classically; only multiplexing, routing and the
 storage-time cutoff are.
 
+Each mode pair of a link heralds independently with the single-mode
+probability p1, and a trial's herald stage reaches the outputs only through
+three flags: link A heralded, link B heralded, and some index heralded in
+both (the switch then routes the lowest such index).  With
+eg = 1 - (1 - p1)^m and P_c = 1 - (1 - p1^2)^m those flags fall into five
+categories (Sangouard et al., RMP 83, 33 (2011), section IV):
+
+  common index                      P_c
+  both links, no common index       eg^2 - P_c
+  link A only                       eg - eg^2
+  link B only                       eg - eg^2
+  none                              (1 - eg)^2
+
+so one uniform per trial picks its category against the cumulative bounds
+[P_c, eg^2, eg, 1 - (1 - eg)^2] (_herald_bounds), whatever m is.
+
 Randomness is counter-based (Philox4x64-10) and sliced per trial index, so
 a batch gives bit-identical outcomes for any chunking.
 Stream layout, per trial index i:
 
-  herald stream        key (seed, stream_offset):   ticks [E*i, E*(i+1)),
-                       E = ceil(2m/4); first 2m uniforms used, writes of
-                       link A-B1 first, then B2-C.
+  herald stream        key (seed, stream_offset):   word i, the herald
+                       category.
   interference stream  key (seed, stream_offset+1): tick i, four uniforms
                        [u_swap, u_fringe, u_counting, spare].
 
 Tick t of a key is the Philox block of counter (t + 1, 0, 0, 0), the block
-np.random.Philox(key=...).random_raw emits t-th.  run_batch draws the herald
-stream in order, but computes a trial's interference tick from its counter
-(_philox_ticks) only for the trials routed to the swap, a few in 1e4 at the
-defaults; the words are those of the layout above either way.
+np.random.Philox(key=...).random_raw emits t-th, and word i is word i mod 4
+of tick i // 4.  run_batch draws the herald stream in order, but computes a
+trial's interference tick from its counter (_philox_ticks) only for the
+trials routed to the swap, a few in 1e4 at the defaults; the words are those
+of the layout above either way.
 
 Each uniform is the double Generator.random() makes of one 64-bit Philox
 word w, u = (w >> 11) * 2**-53.  run_batch decides u < p on the raw word
@@ -57,13 +73,11 @@ __all__ = [
     "SWEEP_OBSERVABLES",
 ]
 
-# Maximum trials vectorized per chunk; chunk boundaries are tick-aligned so
-# the decomposition never changes the sampled outcomes.  Sized for cache: no
-# chunk draws more than CHUNK_TRIALS * 8 herald words, a 1 MB block; m <= 4
-# runs full chunks, larger m proportionally fewer trials per chunk.
+# Trials vectorized per chunk.  A chunk draws one herald word per trial, a
+# 128 KB block for any m, and trial i always reads word i, so the chunking
+# never changes the sampled outcomes.
 CHUNK_TRIALS = 16_384
 
-_WORDS_PER_TICK = 4  # Philox4x64 emits four 64-bit words per counter tick
 _TWO_53 = float(2 ** 53)  # Generator.random() keeps the top 53 bits of a word
 
 # Philox4x64-10 round multipliers and key bumps (Salmon et al., SC'11)
@@ -71,10 +85,6 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
-
-
-def _herald_ticks(m_modes: int) -> int:
-    return -(-2 * m_modes // _WORDS_PER_TICK)
 
 
 def _mulhilo(m: int, x: np.ndarray) -> tuple:
@@ -127,46 +137,22 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)) * (1.0 / _TWO_53)
 
 
-def _check_seed(seed: int, name: str = "seed", stop: int = 2 ** 64) -> int:
-    """seed as an int in [0, stop), for a 64-bit Philox key word."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < stop:
-        raise ParamError(f"{name} must be an integer in [0, {stop}), got {seed!r}")
-    return int(seed)
+def _check_int(value, name: str, lo: int = 0, stop: float = 2 ** 64) -> int:
+    """value as an int in [lo, stop); bools and non-integers are a
+    ParamError, not 1/0 or numpy's TypeError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not lo <= int(value) < stop):
+        raise ParamError(f"{name} must be an integer in [{lo}, {stop}), got {value!r}")
+    return int(value)
 
 
-def _herald_flags(hits: np.ndarray, m: int) -> tuple:
-    """(link A heralded, link B heralded, common index) per row of a bool
-    herald block, link A in columns [0, m) and link B in [m, 2m).
-
-    The rows are read as little-endian machine words, w bytes per lane, so
-    one lane holds w modes, mode j in bits [8j, 8j + 8).  Each of A's lanes
-    meets B's bytes shifted onto it; A's last lane is masked to A's bytes.
-    """
-    lane_t = np.dtype("<u8" if hits.shape[1] % 8 == 0 else "<u4")
-    lanes = hits.view(lane_t)
-    w = lane_t.itemsize
-    q, s = divmod(m, w)
-    n_a = -(-m // w)  # lanes holding A's bytes
-    zero = lane_t.type(0)
-
-    def lane(k):  # a lane past the row reads as 0
-        return lanes[:, k] if k < lanes.shape[1] else zero
-
-    # lane-typed scalars: a Python int would make NumPy 1.x promote to float64;
-    # the high lane moves in two shifts, so s = 0 never shifts by the width
-    right, left, byte = (lane_t.type(8 * s), lane_t.type(8 * (w - 1 - s)),
-                         lane_t.type(8))
-    last = lane_t.type((1 << 8 * (m - (n_a - 1) * w)) - 1)
-    any1, any2, common = np.zeros((3, hits.shape[0]), dtype=bool)
-    for k in range(n_a):
-        a = lane(k)
-        b = (lane(k + q) >> right) | ((lane(k + q + 1) << left) << byte)
-        if k == n_a - 1:
-            a, b = a & last, b & last
-        any1 |= a != 0
-        any2 |= b != 0
-        common |= (a & b) != 0
-    return any1, any2, common
+def _herald_bounds(params: ExperimentParams) -> np.ndarray:
+    """Cumulative probabilities of the herald categories [common index, both
+    links without one, link A only, link B only]; the rest is none.  Clamped
+    monotone, since at m = 1 P_c and eg**2 agree only to an ulp."""
+    eg = analytic.multiplexed_eg_probability(params).exact
+    p_c = analytic.swap_pair_probability(params)
+    return np.maximum.accumulate([p_c, eg * eg, eg, 1.0 - (1.0 - eg) ** 2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,31 +318,25 @@ def run_batch(params: ExperimentParams, n_trials: int,
     sequence is bit-identical for any CHUNK_TRIALS; chunks are evaluated
     in order and merged by plain addition.
 
-    A chunk holds CHUNK_TRIALS trials, or fewer above m = 4, so that it
-    never draws more than CHUNK_TRIALS * 8 herald words (1 MB).  Per chunk,
-    the herald words of all trials are compared against the single-mode
-    herald probability in one pass, and the per-link and common herald
-    flags are OR-ed over machine words, 4 or 8 modes at a time
-    (_herald_flags).  The stream layout is that of
-    the module docstring, but only the routed trials' interference ticks
-    are computed, from their counters (_philox_ticks), in blocks of
+    Per chunk of CHUNK_TRIALS trials, each trial's herald word is compared
+    against the cumulative bounds of the herald categories (_herald_bounds):
+    counting the words below each bound gives the herald counters, and
+    flatnonzero the routed trials.  Only the routed trials' interference
+    ticks are computed, from their counters (_philox_ticks), in blocks of
     CHUNK_TRIALS; only swap-click trials turn their fringe and counting
     words into uniforms for the table lookup.
     """
-    if n_trials < 1:
-        raise ParamError("n_trials must be >= 1")
-    seed = _check_seed(seed)
+    n_trials = _check_int(n_trials, "n_trials", 1, math.inf)
+    seed = _check_int(seed, "seed")
     # the interference key word is stream_offset + 1, so it too must fit 64 bits
-    stream_offset = _check_seed(stream_offset, "stream_offset", 2 ** 64 - 1)
+    stream_offset = _check_int(stream_offset, "stream_offset", 0, 2 ** 64 - 1)
     if theta_grid is None:
         theta_grid = fock.default_theta_grid()
     thetas = np.array([float(t) for t in theta_grid])
     if thetas.size == 0:
         raise ParamError("theta_grid must be non-empty")
 
-    m = params.m_modes
     p1 = analytic.single_mode_herald_probability(params)
-    words = _herald_ticks(m) * _WORDS_PER_TICK
     aborted_all = params.past_cutoff
     # no trial can reach the swap without heralds or past the cutoff
     tables = None
@@ -380,21 +360,22 @@ def run_batch(params: ExperimentParams, n_trials: int,
         counting_cut = np.zeros(3)
         p_swap1 = 0.0
 
-    # The herald stream is read in trial order, so each chunk's draws are
-    # the tick-aligned slice of its trials; the interference words are
-    # computed from their counters for the routed trials alone.
+    # The herald stream is read in trial order, one word per trial; the
+    # interference words are computed from their counters for the routed
+    # trials alone.
+    p_common, p_both, p_a, p_any = _herald_bounds(params)
+    if aborted_all:
+        p_common = 0.0
     herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
-    step = min(CHUNK_TRIALS, max(1, CHUNK_TRIALS * 8 // words))
     routed_chunks = []
-    for lo in range(0, n_trials, step):
-        count = min(step, n_trials - lo)
-        hits = _below(herald_gen.random_raw(count * words).reshape(count, words), p1)
-        any1, any2, common = _herald_flags(hits, m)
-        routed_chunks.append(lo + np.flatnonzero(common & (not aborted_all)))
-
-        counters["n_eg_ab1"] += int(np.count_nonzero(any1))
-        counters["n_eg_b2c"] += int(np.count_nonzero(any2))
-        counters["n_eg"] += int(np.count_nonzero(any1 & any2))
+    for lo in range(0, n_trials, CHUNK_TRIALS):
+        words = herald_gen.random_raw(min(CHUNK_TRIALS, n_trials - lo))
+        routed_chunks.append(lo + np.flatnonzero(_below(words, p_common)))
+        n_both = int(np.count_nonzero(_below(words, p_both)))
+        n_a = int(np.count_nonzero(_below(words, p_a)))
+        counters["n_eg"] += n_both
+        counters["n_eg_ab1"] += n_a
+        counters["n_eg_b2c"] += n_both + int(np.count_nonzero(_below(words, p_any))) - n_a
     routed_all = np.concatenate(routed_chunks)
     counters["n_routed"] = routed_all.size
 

@@ -11,6 +11,9 @@
 * The scalar trial loop: one protocol repetition from its per-trial doubles.
   run_batch decides the same draws on raw Philox words, chunk by chunk, and
   must give the same counts.
+* The per-mode herald stage: 2m Bernoulli modes per trial, reduced to the
+  herald category.  run_batch draws the category from one word per trial,
+  and must match it in distribution.
 
 Operations are functional: each returns a new FockState.
 """
@@ -273,28 +276,33 @@ def wootters_concurrence(rho4: np.ndarray) -> float:
 
 # -- scalar trial loop --------------------------------------------------------
 
+_WORDS_PER_TICK = 4  # Philox4x64 emits four 64-bit words per counter tick
+
+# herald categories in the order of protocol._herald_bounds
+HERALD_CATEGORIES = ("common", "both", "a-only", "b-only", "none")
+
 
 def _uniform_block(seed: int, stream: int, first_tick: int, n_ticks: int) -> np.ndarray:
     """Doubles for ticks [first_tick, first_tick + n_ticks) of one stream."""
     bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
     if first_tick:
         bg.advance(first_tick)
-    return np.random.Generator(bg).random(n_ticks * protocol._WORDS_PER_TICK)
+    return np.random.Generator(bg).random(n_ticks * _WORDS_PER_TICK)
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
     """Everything observable about a single protocol repetition.
 
-    Mode indices are 1-based and refer to the lowest heralded mode of each
-    link; routed_mode is the lowest index heralded by both links, which is
-    the one the switch network feeds to the swap station.  A swap click
-    implies both links heralded.
+    eg_ab1 / eg_b2c: the link heralded in some mode; routed: some index
+    heralded in both links and the cutoff did not abort, so the switch fed
+    it to the swap station.  A swap click implies routing, and routing
+    implies both link heralds.
     """
 
-    eg_mode_ab1: Optional[int]
-    eg_mode_b2c: Optional[int]
-    routed_mode: Optional[int]
+    eg_ab1: bool
+    eg_b2c: bool
+    routed: bool
     es_click: bool
     ev1_click: bool
     ev2_click: bool
@@ -306,31 +314,68 @@ class TrialOutcome:
     cutoff_aborted: bool = False
 
     def __post_init__(self):
-        if self.es_click and (self.eg_mode_ab1 is None or self.eg_mode_b2c is None):
-            raise ValueError("swap click without both link heralds")
+        if self.es_click and not self.routed:
+            raise ValueError("swap click without routing")
+        if self.routed and not (self.eg_ab1 and self.eg_b2c):
+            raise ValueError("routing without both link heralds")
 
 
 @dataclass(frozen=True)
 class TrialStream:
     """Uniform draws for one trial, sliced from the global counter streams."""
 
-    herald: np.ndarray        # 2m doubles, link A-B1 modes first
+    herald: float             # one double: the herald category
     interference: np.ndarray  # 4 doubles: swap, fringe joint, counting joint, spare
 
     def __post_init__(self):
-        if len(self.interference) != protocol._WORDS_PER_TICK:
+        if len(self.interference) != _WORDS_PER_TICK:
             raise ValueError("interference slice must hold 4 doubles")
 
 
-def trial_stream(seed: int, index: int, m_modes: int, stream_offset: int = 0) -> TrialStream:
-    """The exact uniforms trial `index` consumes inside run_batch."""
-    seed = protocol._check_seed(seed)
+def trial_stream(seed: int, index: int, stream_offset: int = 0) -> TrialStream:
+    """The exact uniforms trial `index` consumes inside run_batch: word
+    `index` of the herald stream and tick `index` of the interference one."""
+    seed = protocol._check_int(seed, "seed")
     if index < 0:
         raise ParamError("trial index must be >= 0")
-    ticks = protocol._herald_ticks(m_modes)
-    herald = _uniform_block(seed, stream_offset, ticks * index, ticks)[: 2 * m_modes]
+    tick, word = divmod(index, _WORDS_PER_TICK)
+    herald = float(_uniform_block(seed, stream_offset, tick, 1)[word])
     interference = _uniform_block(seed, stream_offset + 1, index, 1)
     return TrialStream(herald=herald, interference=interference)
+
+
+def herald_category(params: ExperimentParams, u: float) -> int:
+    """Index into HERALD_CATEGORIES of the herald uniform u: the number of
+    the package's cumulative category bounds at or below u."""
+    return int(np.searchsorted(protocol._herald_bounds(params), u, side="right"))
+
+
+def mode_categories(params: ExperimentParams, herald: np.ndarray) -> np.ndarray:
+    """Herald category of each row of per-mode uniforms, shape (..., 2m),
+    link A-B1's modes first.
+
+    The physics reference: each mode heralds when its uniform is below the
+    single-mode herald probability, and the switch needs some index that
+    heralds in both links.
+    """
+    m = params.m_modes
+    hits = np.asarray(herald) < analytic.single_mode_herald_probability(params)
+    a, b = hits[..., :m], hits[..., m:2 * m]
+    any_a, any_b = a.any(axis=-1), b.any(axis=-1)
+    return np.select([(a & b).any(axis=-1), any_a & any_b, any_a, any_b],
+                     [0, 1, 2, 3], default=4)
+
+
+def mode_category_counts(params: ExperimentParams, n_trials: int, seed: int) -> np.ndarray:
+    """Counts over HERALD_CATEGORIES of n_trials per-mode herald stages, from
+    a generator of its own, in blocks of at most 1000 trials."""
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(HERALD_CATEGORIES), dtype=np.int64)
+    for lo in range(0, n_trials, 1000):
+        block = rng.random((min(1000, n_trials - lo), 2 * params.m_modes))
+        counts += np.bincount(mode_categories(params, block),
+                              minlength=len(HERALD_CATEGORIES))
+    return counts
 
 
 def _sample_joint(cdf: np.ndarray, u: float) -> tuple:
@@ -342,27 +387,17 @@ def run_trial(params: ExperimentParams, stream: TrialStream, theta: float,
               tables: Optional[ConditionalTables] = None) -> TrialOutcome:
     """Play one repetition using the supplied per-trial uniforms.
 
-    Heralds are Bernoulli per mode with the single-mode herald probability;
-    the swap is attempted only when some index heralded in both links.  Swap
-    and verification outcomes come from the engine tables.  Failures are
-    data, not errors.
+    The herald uniform picks the herald category; the swap is attempted
+    only when some index heralded in both links.  Swap and verification
+    outcomes come from the engine tables.  Failures are data, not errors.
     """
-    m = params.m_modes
-    if len(stream.herald) != 2 * m:
-        raise ParamError(f"herald slice holds {len(stream.herald)} doubles, need {2 * m}")
     theta = float(theta)
-    p1 = analytic.single_mode_herald_probability(params)
-    hits_ab1 = stream.herald[:m] < p1
-    hits_b2c = stream.herald[m:] < p1
-    eg_ab1 = int(np.argmax(hits_ab1)) + 1 if hits_ab1.any() else None
-    eg_b2c = int(np.argmax(hits_b2c)) + 1 if hits_b2c.any() else None
-
+    category = HERALD_CATEGORIES[herald_category(params, stream.herald)]
     aborted = params.cutoff_us is not None and params.t2_us > params.cutoff_us
-    common = hits_ab1 & hits_b2c
-    routed = int(np.argmax(common)) + 1 if (common.any() and not aborted) else None
+    routed = category == "common" and not aborted
 
     es = ev1 = ev2 = a_click = c_click = False
-    if routed is not None:
+    if routed:
         # engine tables are only defined (and only needed) when a swap runs
         if tables is None or theta not in tables.thetas:
             tables = conditional_tables(params, (theta,))
@@ -373,7 +408,9 @@ def run_trial(params: ExperimentParams, stream: TrialStream, theta: float,
             a_click, c_click = _sample_joint(tables.counting_cdf, stream.interference[2])
 
     return TrialOutcome(
-        eg_mode_ab1=eg_ab1, eg_mode_b2c=eg_b2c, routed_mode=routed,
+        eg_ab1=category in ("common", "both", "a-only"),
+        eg_b2c=category in ("common", "both", "b-only"),
+        routed=routed,
         es_click=bool(es), ev1_click=bool(ev1), ev2_click=bool(ev2),
         a_click=bool(a_click), c_click=bool(c_click),
         t1_us=params.t1_us, t2_us=params.t2_us, theta=theta,

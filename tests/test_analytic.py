@@ -7,6 +7,7 @@ double as regression anchors.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -312,6 +313,22 @@ def test_swap_pair_probability(defaults):
     p1 = defaults.chi * defaults.eta
     assert swap_pair_probability(defaults) == pytest.approx(
         1.0 - (1.0 - p1 ** 2) ** 3, rel=1e-12)
+
+
+# (chi, eta, m): the defaults, the hot point, a tiny chi*eta = 5e-7 where
+# 1 - (1 - x)**m loses 8.9e-5 of P_c, and the edges m = 1 and m = 1000
+EXACT_POINTS = [(0.01, 0.5, 3), (0.1, 0.8, 3), (0.1, 0.8, 32), (1e-6, 0.5, 3),
+                (1e-6, 0.5, 1000), (1e-3, 1.0, 1), (0.3, 0.9, 1000), (0.0, 0.5, 3)]
+
+
+@pytest.mark.parametrize("chi, eta, m", EXACT_POINTS)
+def test_multiplexed_closed_forms_full_precision(defaults, chi, eta, m):
+    # against exact rationals of the float p1: no cancellation at small p1
+    params = with_overrides(defaults, chi=chi, eta=eta, m_modes=m)
+    p1 = Fraction(single_mode_herald_probability(params))
+    for got, want in ((multiplexed_eg_probability(params).exact, 1 - (1 - p1) ** m),
+                      (swap_pair_probability(params), 1 - (1 - p1 * p1) ** m)):
+        assert abs(Fraction(got) - want) <= 1e-15 * want
 
 
 def test_bad_form_rejected(defaults):

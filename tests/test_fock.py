@@ -606,6 +606,7 @@ ORACLE_NAMES = (
     "apply_pair_source", "apply_retrieval", "inject_noise", "_click_kraus",
     "measure_click", "partial_trace", "joint_clicks", "_uniform_block",
     "TrialOutcome", "TrialStream", "trial_stream", "_sample_joint", "run_trial",
+    "herald_category", "mode_categories", "mode_category_counts",
     "wootters_concurrence",
 )
 
@@ -618,6 +619,9 @@ def test_replaced_paths_live_only_in_the_oracle():
         for module in (dlcz_swap, fock, protocol):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(protocol.ConditionalTables, "theta_row")
+    # one herald word per trial: the per-mode herald stage is gone
+    for name in ("_herald_ticks", "_herald_flags", "_WORDS_PER_TICK"):
+        assert not hasattr(protocol, name), name
     for name in ("verification_fringe", "verification_joint", "counting_joint",
                  "_readout_joints", "_JOINT_KEYS", "in_mode_noise", "_readout_lowering"):
         assert not hasattr(fock, name), name

@@ -1,7 +1,9 @@
 """Monte Carlo layer: counter streams, single trials, batches, sweeps.
 
 Single trials are played by the scalar oracle (tests/oracles.py), which
-draws doubles; run_batch must reproduce its counts.  The stream tests
+draws doubles; run_batch must reproduce its counts.  Its one-word herald
+category draw is also tested in distribution against the per-mode herald
+stage kept there, and against exact rationals.  The stream tests
 rebuild the documented Philox layout with numpy directly, so a regression
 in the advance arithmetic cannot hide behind itself.
 """
@@ -9,6 +11,7 @@ in the advance arithmetic cannot hide behind itself.
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +27,16 @@ from dlcz_swap.protocol import (
     run_batch,
     sweep,
 )
-from oracles import TrialOutcome, TrialStream, run_trial, trial_stream
+from oracles import (
+    HERALD_CATEGORIES,
+    TrialOutcome,
+    TrialStream,
+    herald_category,
+    mode_categories,
+    mode_category_counts,
+    run_trial,
+    trial_stream,
+)
 
 
 def _philox_words(seed, stream, n_words):
@@ -33,92 +45,96 @@ def _philox_words(seed, stream, n_words):
 
 
 def test_trial_stream_matches_flat_philox():
-    seed, m = 91, 3
-    ticks = -(-2 * m // 4)  # herald words per trial, rounded up to 4-word ticks
-    herald_flat = _philox_words(seed, 0, ticks * 4 * 40)
+    seed = 91
+    herald_flat = _philox_words(seed, 0, 40)
     interf_flat = _philox_words(seed, 1, 4 * 40)
     for i in (0, 1, 7, 39):
-        ts = trial_stream(seed, i, m)
-        lo = ticks * 4 * i
-        assert np.array_equal(ts.herald, herald_flat[lo:lo + 2 * m])
+        ts = trial_stream(seed, i)
+        assert ts.herald == herald_flat[i]  # one herald word per trial
         assert np.array_equal(ts.interference, interf_flat[4 * i:4 * i + 4])
 
 
 def test_trial_stream_offset_selects_streams():
-    seed, m = 5, 2
-    herald_flat = _philox_words(seed, 6, 4 * 10)  # 2m=4 words = 1 tick per trial
+    seed = 5
+    herald_flat = _philox_words(seed, 6, 10)
     interf_flat = _philox_words(seed, 7, 4 * 10)
-    ts = trial_stream(seed, 3, m, stream_offset=6)
-    assert np.array_equal(ts.herald, herald_flat[12:16])
+    ts = trial_stream(seed, 3, stream_offset=6)
+    assert ts.herald == herald_flat[3]
     assert np.array_equal(ts.interference, interf_flat[12:16])
 
 
 def test_trial_stream_validation():
     with pytest.raises(ParamError):
-        trial_stream(-1, 0, 3)
+        trial_stream(-1, 0)
     with pytest.raises(ParamError):
-        trial_stream(0, -1, 3)
+        trial_stream(0, -1)
 
 
 def test_outcome_invariant():
     with pytest.raises(ValueError):
-        TrialOutcome(eg_mode_ab1=None, eg_mode_b2c=None, routed_mode=None,
+        TrialOutcome(eg_ab1=False, eg_b2c=False, routed=False,
                      es_click=True, ev1_click=False, ev2_click=False,
+                     a_click=False, c_click=False, t1_us=0.0, t2_us=2.0,
+                     theta=0.0)
+    with pytest.raises(ValueError):
+        TrialOutcome(eg_ab1=True, eg_b2c=False, routed=True,
+                     es_click=False, ev1_click=False, ev2_click=False,
                      a_click=False, c_click=False, t1_us=0.0, t2_us=2.0,
                      theta=0.0)
 
 
 def test_run_trial_chi_zero(defaults):
     p = with_overrides(defaults, chi=0.0)
-    out = run_trial(p, trial_stream(0, 0, p.m_modes), 0.0)
-    assert out.eg_mode_ab1 is None
-    assert out.eg_mode_b2c is None
-    assert out.routed_mode is None
+    out = run_trial(p, trial_stream(0, 0), 0.0)
+    assert not out.eg_ab1 and not out.eg_b2c and not out.routed
     assert not out.es_click and not out.ev1_click
     assert not out.a_click and not out.c_click
+    # every herald uniform, even 0, falls in "none"
+    assert HERALD_CATEGORIES[herald_category(p, 0.0)] == "none"
 
 
 def test_run_trial_forced_paths(boosted):
-    m = boosted.m_modes
     tables = conditional_tables(boosted, (0.0,))
 
     def play(herald, interference):
-        ts = TrialStream(herald=np.array(herald), interference=np.array(interference))
+        ts = TrialStream(herald=herald, interference=np.array(interference))
         return run_trial(boosted, ts, 0.0, tables=tables)
 
-    # all mode draws below p1: both links herald on their first mode
-    sure = [0.0] * (2 * m)
-    out = play(sure, [0.0, 0.5, 0.5, 0.0])
-    assert out.eg_mode_ab1 == 1 and out.eg_mode_b2c == 1
-    assert out.routed_mode == 1
+    # u = 0 is below every bound: a common index, routed to the swap
+    out = play(0.0, [0.0, 0.5, 0.5, 0.0])
+    assert out.eg_ab1 and out.eg_b2c and out.routed
     assert out.es_click  # u_swap = 0 < p_swap1
-    out2 = play(sure, [0.999999, 0.5, 0.5, 0.0])
+    out2 = play(0.0, [0.999999, 0.5, 0.5, 0.0])
     assert not out2.es_click and not out2.ev1_click
 
-    # link 1 heralds mode 1 only, link 2 mode 3 only: no common index
-    herald = [0.0, 1.0, 1.0, 1.0, 1.0, 0.0]
-    out3 = play(herald, [0.0, 0.5, 0.5, 0.0])
-    assert out3.eg_mode_ab1 == 1 and out3.eg_mode_b2c == 3
-    assert out3.routed_mode is None
-    assert not out3.es_click
+    # one uniform inside each later category
+    bounds = protocol._herald_bounds(boosted)
+    want = {"both": (True, True), "a-only": (True, False), "b-only": (False, True),
+            "none": (False, False)}
+    for k, u in enumerate((bounds[0], bounds[1], bounds[2], bounds[3]), start=1):
+        out3 = play(float(u), [0.0, 0.5, 0.5, 0.0])
+        assert (out3.eg_ab1, out3.eg_b2c) == want[HERALD_CATEGORIES[k]]
+        assert not out3.routed and not out3.es_click
 
 
-def test_run_trial_lowest_common_mode(boosted):
+def test_mode_categories_of_forced_heralds(boosted):
+    # the per-mode reference, m = 3 modes per link, link A-B1 first
     m = boosted.m_modes
-    tables = conditional_tables(boosted, (0.0,))
-    # link 1 heralds modes 2,3; link 2 heralds modes 1,2 -> routed mode 2
-    herald = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
-    ts = TrialStream(herald=herald, interference=np.array([0.9, 0.5, 0.5, 0.0]))
-    out = run_trial(boosted, ts, 0.0, tables=tables)
-    assert out.eg_mode_ab1 == 2
-    assert out.eg_mode_b2c == 1
-    assert out.routed_mode == 2
+    patterns = {
+        "common": [0.0] * (2 * m),               # every mode heralds
+        "both": [0.0, 1.0, 1.0, 1.0, 1.0, 0.0],  # A on mode 1, B on mode 3
+        "a-only": [1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+        "b-only": [1.0, 1.0, 1.0, 1.0, 0.0, 1.0],
+        "none": [1.0] * (2 * m),
+    }
+    got = mode_categories(boosted, np.array(list(patterns.values())))
+    assert [HERALD_CATEGORIES[k] for k in got] == list(patterns)
+    # A on modes 2, 3 and B on modes 1, 2: the switch routes index 2
+    assert mode_categories(boosted, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 1.0])) == 0
 
 
-# (m, overrides): m from one 4-byte lane per link (m=1) to a herald block
-# spanning 20 ticks (m=40), and m=200, whose chunks are capped at the
-# CHUNK_TRIALS * 8-word herald block (2 trials at CHUNK_TRIALS = 137); then
-# the cutoff-abort and chi=0 paths
+# (m, overrides): m from one mode per link to m = 200, whose per-mode herald
+# stage would draw 400 words a trial; then the cutoff-abort and chi=0 paths
 SCALAR_CASES = {
     "m1": (1, {}),
     "m3": (3, {}),
@@ -149,13 +165,12 @@ def test_batch_equals_scalar_loop(boosted, monkeypatch, m, overrides):
     ff_by_theta = np.zeros(len(grid), dtype=int)
     for i in range(n):
         theta = grid[i % len(grid)]
-        out = run_trial(params, trial_stream(17, i, m), theta, tables=tables)
+        out = run_trial(params, trial_stream(17, i), theta, tables=tables)
         counters["n_aborted"] += out.cutoff_aborted
-        counters["n_eg_ab1"] += out.eg_mode_ab1 is not None
-        counters["n_eg_b2c"] += out.eg_mode_b2c is not None
-        counters["n_eg"] += (out.eg_mode_ab1 is not None
-                             and out.eg_mode_b2c is not None)
-        counters["n_routed"] += out.routed_mode is not None
+        counters["n_eg_ab1"] += out.eg_ab1
+        counters["n_eg_b2c"] += out.eg_b2c
+        counters["n_eg"] += out.eg_ab1 and out.eg_b2c
+        counters["n_routed"] += out.routed
         counters["n_es"] += out.es_click
         if out.es_click:
             counting[JOINT_ORDER.index((out.a_click, out.c_click))] += 1
@@ -164,7 +179,8 @@ def test_batch_equals_scalar_loop(boosted, monkeypatch, m, overrides):
                 ff_by_theta[i % len(grid)] += 1
 
     for key, want in counters.items():
-        assert getattr(batch, key) == want, key
+        got = getattr(batch, key)
+        assert got == want and type(got) is int, key
     assert np.array_equal(batch.counting_counts, counting)
     assert np.array_equal(batch.fourfold_by_theta, ff_by_theta)
     assert np.array_equal(batch.n_by_theta, np.bincount(np.arange(n) % len(grid)))
@@ -247,8 +263,8 @@ def test_run_batch_builds_only_the_herald_generator(defaults, monkeypatch):
 
 
 def test_herald_draws_stay_within_the_1mb_block(defaults, monkeypatch):
-    # no chunk draws more than CHUNK_TRIALS * 8 herald words, a 1 MB block,
-    # so the herald block does not grow with the mode count
+    # one herald word per trial: no chunk draws more than CHUNK_TRIALS words,
+    # a 128 KB block, whatever the mode count
     requests = []
     philox = np.random.Philox
 
@@ -261,52 +277,92 @@ def test_herald_draws_stay_within_the_1mb_block(defaults, monkeypatch):
             return self.generator.random_raw(size)
 
     monkeypatch.setattr(protocol.np.random, "Philox", Recording)
-    for m in (3, 32, 200):
+    c = protocol.CHUNK_TRIALS
+    for m in (1, 3, 32, 200):
+        requests.clear()
         run_batch(with_overrides(defaults, m_modes=m), 40_000, seed=3)
-    assert max(requests) == protocol.CHUNK_TRIALS * 8  # reached at m = 3 and 32
+        assert requests == [c, c, 40_000 - 2 * c], m
 
 
-def _column_flags(hits, m):
-    # the per-mode reference: link A in columns [0, m), link B in [m, 2m)
-    a, b = hits[:, :m], hits[:, m:2 * m]
-    return a.any(axis=1), b.any(axis=1), (a & b).any(axis=1)
+# The category table over a seeded grid, with the edges chi = 0, p1 = 1,
+# m = 1 and m = 1000 added
+_rng = np.random.default_rng(29)
+TABLE_GRID = [(float(chi), float(eta), int(m)) for chi, eta, m in zip(
+    _rng.choice([1e-7, 1e-4, 0.01, 0.1, 0.3, 0.9], 12),
+    _rng.uniform(0.05, 1.0, 12),
+    _rng.choice([1, 2, 3, 12, 32, 200, 1000], 12))]
+TABLE_GRID += [(0.0, 0.5, 3), (0.0, 1.0, 1000), (0.1, 0.8, 1), (0.3, 1.0, 1),
+               (0.01, 0.5, 1000), (0.5, 0.8, 1000), (1.0, 1.0, 1), (1.0, 1.0, 3)]
 
 
-HERALD_MODES = list(range(1, 41)) + [200]
+def _exact_table(p1, m):
+    # the five categories as exact rationals of the float p1
+    p1 = Fraction(p1)
+    eg, p_c = 1 - (1 - p1) ** m, 1 - (1 - p1 * p1) ** m
+    return [p_c, eg * eg - p_c, eg - eg * eg, eg - eg * eg, (1 - eg) ** 2]
 
 
-@pytest.mark.parametrize("density", (0.0, 0.01, 0.08, 0.5, 1.0))
-def test_herald_flags_match_column_loop(density):
-    # the machine-word reduction gives the per-mode flags, for 4-byte lanes
-    # (m = 1, 2, 5, 6, ...) and 8-byte ones, with the padding words of a
-    # row's last tick set as often as the heralds
-    rng = np.random.default_rng(round(density * 100))
-    widths = set()
-    for m in HERALD_MODES:
-        words = 4 * -(-2 * m // 4)
-        widths.add(words % 8)
-        hits = rng.random((300, words)) < density
-        got = protocol._herald_flags(hits, m)
-        for flag, want in zip(got, _column_flags(hits, m)):
-            assert np.array_equal(flag, want), (m, density)
-    assert widths == {0, 4}
+@pytest.mark.parametrize("chi, eta, m", TABLE_GRID)
+def test_herald_category_table(defaults, monkeypatch, chi, eta, m):
+    # p1 = chi * eta; p1 = 1 lies outside the parameter box (chi < 1), so the
+    # herald probability is patched in at every point
+    params = with_overrides(defaults, chi=min(chi, 0.5), eta=eta, m_modes=m)
+    p1 = chi * eta
+    monkeypatch.setattr(protocol.analytic, "single_mode_herald_probability",
+                        lambda _: p1)
+    bounds = protocol._herald_bounds(params)
+    table = np.diff(np.concatenate([[0.0], bounds, [1.0]]))
+    assert np.all(table >= 0.0) and abs(math.fsum(table) - 1.0) <= 2.0 ** -52
+    exact = _exact_table(p1, m)
+    assert all(abs(Fraction(t) - e) <= 1e-15 for t, e in zip(table, exact))
+    # marginals: each link heralds with eg, both with eg**2, routing with P_c
+    eg = protocol.analytic.multiplexed_eg_probability(params).exact
+    p_c = protocol.analytic.swap_pair_probability(params)
+    ulp = 2.0 ** -52
+    assert abs(table[:3].sum() - eg) <= ulp
+    assert abs(table[:2].sum() + table[3] - eg) <= 2 * ulp
+    assert abs(table[:2].sum() - eg * eg) <= ulp
+    assert table[0] == p_c
 
 
-# run_batch counters at chi=0.1, eta=0.8, 100 000 trials, seed 20260818, as
-# the per-mode column loop gave them: m = 3 runs full chunks, and m = 32
-# and 40 the shortest chunks of the largest herald rows
+# (m, chi) at eta = 0.8: run_batch's five-category counts against those of
+# the per-mode reference, at frozen seeds
+DISTRIBUTION_CASES = [(m, chi) for m in (1, 3, 32, 200) for chi in (0.1, 0.5)]
+
+
+@pytest.mark.parametrize("m, chi", DISTRIBUTION_CASES)
+def test_herald_categories_match_per_mode_oracle(boosted, m, chi):
+    params = with_overrides(boosted, chi=chi, m_modes=m)
+    n = 20_000
+    batch = run_batch(params, n, theta_grid=[0.0], seed=1000 + m)
+    got = np.array([batch.n_routed, batch.n_eg - batch.n_routed,
+                    batch.n_eg_ab1 - batch.n_eg, batch.n_eg_b2c - batch.n_eg,
+                    n - batch.n_eg_ab1 - batch.n_eg_b2c + batch.n_eg])
+    assert got.sum() == n and np.all(got >= 0)
+    ref = mode_category_counts(params, n, seed=2000 + m)
+    for name, a, b in zip(HERALD_CATEGORIES, got, ref):
+        pooled = (a + b) / (2 * n)
+        if pooled in (0.0, 1.0):
+            assert a == b, name
+            continue
+        z = (a - b) / math.sqrt(2 * n * pooled * (1 - pooled))
+        assert abs(z) < 4.5, (name, a, b, z)
+
+
+# run_batch counters at chi=0.1, eta=0.8, 100 000 trials, seed 20260818:
+# six full chunks and a partial one, at few and at many modes
 FULL_CHUNK_PINS = {
-    3: dict(n_eg_ab1=22097, n_eg_b2c=22064, n_eg=4941, n_routed=1925, n_es=640,
-            fourfold=177, counting_counts=[54, 139, 141, 306],
-            fourfold_by_theta=[6, 11, 10, 14, 8, 9, 9, 13, 8, 7, 6, 10, 16, 16, 16, 18]),
-    32: dict(n_eg_ab1=92909, n_eg_b2c=92971, n_eg=86363, n_routed=18621, n_es=6199,
-             fourfold=1722, counting_counts=[498, 1397, 1304, 3000],
-             fourfold_by_theta=[138, 123, 137, 113, 107, 95, 99, 83, 70, 65, 84, 87,
-                                114, 128, 127, 152]),
-    40: dict(n_eg_ab1=96413, n_eg_b2c=96353, n_eg=92911, n_routed=22557, n_es=7389,
-             fourfold=2108, counting_counts=[585, 1536, 1581, 3687],
-             fourfold_by_theta=[175, 200, 167, 130, 117, 106, 113, 96, 90, 91, 109, 118,
-                                137, 124, 164, 171]),
+    3: dict(n_eg_ab1=22187, n_eg_b2c=22051, n_eg=4898, n_routed=1935, n_es=612,
+            fourfold=181, counting_counts=[37, 120, 127, 328],
+            fourfold_by_theta=[13, 11, 10, 8, 10, 7, 14, 4, 6, 10, 11, 10, 17, 16, 20, 14]),
+    32: dict(n_eg_ab1=93079, n_eg_b2c=92922, n_eg=86507, n_routed=18621, n_es=6182,
+             fourfold=1795, counting_counts=[490, 1302, 1301, 3089],
+             fourfold_by_theta=[125, 166, 141, 125, 106, 97, 91, 88, 64, 86, 104, 82,
+                                107, 118, 146, 149]),
+    40: dict(n_eg_ab1=96445, n_eg_b2c=96456, n_eg=93025, n_routed=22722, n_es=7608,
+             fourfold=2177, counting_counts=[611, 1626, 1597, 3774],
+             fourfold_by_theta=[156, 195, 170, 151, 127, 119, 113, 107, 79, 112, 118, 94,
+                                130, 145, 174, 187]),
 }
 
 
@@ -316,6 +372,20 @@ def test_full_chunk_counts_pinned(boosted, m):
     assert batch.n_aborted == 0
     for key, want in FULL_CHUNK_PINS[m].items():
         assert np.array_equal(getattr(batch, key), want), key
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_trials", 2.5), ("n_trials", 0), ("n_trials", True), ("n_trials", "10"),
+    ("n_trials", np.float64(10.0)), ("seed", True), ("seed", False), ("seed", 1.0),
+    ("stream_offset", True), ("stream_offset", np.bool_(True)),
+])
+def test_run_batch_rejects_non_integer_inputs(defaults, name, value):
+    # bools are not integers here, and a float trial count is a ParamError,
+    # not numpy's TypeError from the chunk loop
+    kwargs = dict(n_trials=10, seed=1, stream_offset=0)
+    kwargs[name] = value
+    with pytest.raises(ParamError, match=name):
+        run_batch(defaults, **kwargs)
 
 
 @pytest.mark.parametrize("offset", (-1, 1.5, "0", 2 ** 64 - 1, 2 ** 64))
@@ -405,21 +475,29 @@ def test_cutoff_aborts_everything(boosted):
     assert batch.n_routed == 0 and batch.n_es == 0
     assert batch.insufficient
     # heralds still happen (generation precedes storage), the swap does not
-    out = run_trial(p, trial_stream(2, 0, p.m_modes), 0.0)
+    out = run_trial(p, trial_stream(2, 0), 0.0)
     assert out.cutoff_aborted
-    assert out.routed_mode is None
+    assert not out.routed
     assert not out.es_click
     # accepted_rate counts the surviving fraction
     assert batch.accepted_rate == 0.0
 
 
 def test_variance_scaling(boosted):
-    # doubling the sample roughly halves the squared standard errors
+    # each standard error is binomial in its own denominator, and doubling
+    # the trials doubles the denominators, within binomial noise
     small = run_batch(boosted, 150_000, seed=77)
     big = run_batch(boosted, 300_000, seed=78)
-    for a, b in ((small.p_es_se, big.p_es_se), (small.p11_se, big.p11_se)):
-        ratio = (b / a) ** 2
-        assert 0.4 < ratio < 0.6
+    for stats in (small, big):
+        for p, se, n in ((stats.p_es, stats.p_es_se, stats.n_routed),
+                         (stats.p11, stats.p11_se, stats.n_es)):
+            assert se ** 2 * n == pytest.approx(p * (1 - p), rel=1e-12)
+    for attr in ("n_routed", "n_es"):
+        k_small, k_big = getattr(small, attr), getattr(big, attr)
+        rate = (k_small + k_big) / (small.n_trials + big.n_trials)
+        # Var(k_big - 2 k_small) = (n_big + 4 n_small) rate (1 - rate)
+        sd = math.sqrt((big.n_trials + 4 * small.n_trials) * rate * (1 - rate))
+        assert abs(k_big - 2 * k_small) < 5 * sd, attr
 
 
 def test_sweep_monotonicity_closed_form(defaults):
@@ -522,5 +600,5 @@ def test_seeds_above_2_63_stay_distinct(boosted):
 
     assert outcomes(2 ** 63 + 1) != outcomes(2 ** 63 + 1001)
     assert outcomes(2 ** 64 - 1) != outcomes(0)
-    for stream in (trial_stream(2 ** 63 + 1, 0, 3), trial_stream(2 ** 64 - 1, 0, 3)):
-        assert not np.array_equal(stream.herald, trial_stream(0, 0, 3).herald)
+    for stream in (trial_stream(2 ** 63 + 1, 0), trial_stream(2 ** 64 - 1, 0)):
+        assert stream.herald != trial_stream(0, 0).herald
