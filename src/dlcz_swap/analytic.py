@@ -98,9 +98,6 @@ class MultiplexedRate:
     """Per-pair generation probability per trial with m modes."""
 
     exact: float      # 1 - (1 - p1)^m, to full precision
-    linearized: float  # m * p1
-    p1: float
-    m: int
 
 
 def retrieval_efficiency(t_us: float, params: ExperimentParams) -> float:
@@ -319,8 +316,7 @@ def single_mode_herald_probability(params: ExperimentParams) -> float:
 
     One Stokes photon emitted by either ensemble of the link (chi each, into
     orthogonal polarizations of one fiber), routed to the heralding detector
-    with probability 1/2, detected with eta: p1 = chi * eta.  At eta = 1 the
-    multiplexed linearized rate reduces to m * chi.
+    with probability 1/2, detected with eta: p1 = chi * eta.
     """
     return params.chi * params.eta
 
@@ -334,14 +330,8 @@ def _any_of(p: float, m: int) -> float:
 
 def multiplexed_eg_probability(params: ExperimentParams) -> MultiplexedRate:
     """Per-pair generation probability per trial across m modes."""
-    p1 = single_mode_herald_probability(params)
-    m = params.m_modes
     return MultiplexedRate(
-        exact=_any_of(p1, m),
-        linearized=m * p1,
-        p1=p1,
-        m=m,
-    )
+        exact=_any_of(single_mode_herald_probability(params), params.m_modes))
 
 
 def swap_pair_probability(params: ExperimentParams) -> float:

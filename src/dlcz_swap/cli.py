@@ -157,9 +157,7 @@ def _fig4(params, args):
     pev1 = float(tables.fringe_cdf[0, 1])  # cumulative through (T,F)
     rows = []
     for m in ms:
-        # past the cutoff every trial aborts, as in run_batch
-        p_routed = (0.0 if params.past_cutoff else
-                    analytic.swap_pair_probability(with_overrides(params, m_modes=m)))
+        p_routed = analytic.swap_pair_probability(with_overrides(params, m_modes=m))
         rows.append((float(m), p_routed * tables.p_swap1 * pev1, 0.0))
     expected = CurveSeries("fourfold_expected", ("m", "rate", "sigma"),
                            tuple(rows), _meta(params, source="engine+analytic"))

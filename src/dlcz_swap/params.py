@@ -23,26 +23,6 @@ __all__ = [
     "with_overrides",
 ]
 
-# Config-file schema: flat "key = value" lines.  Unknown keys are errors.
-CONFIG_KEYS = (
-    "chi",
-    "eta",
-    "gamma0",
-    "tau0_us",
-    "z_b",
-    "z_ac",
-    "xi_se",
-    "f_cav",
-    "m_modes",
-    "t1_us",
-    "t2_us",
-    "cutoff_us",
-)
-
-_DEFAULT_PROVENANCE = {k: "experiment-default" for k in CONFIG_KEYS}
-# Detection efficiency is never quantified in the source data; 0.5 is assumed.
-_DEFAULT_PROVENANCE["eta"] = "assumed"
-
 
 class ParamError(ValueError):
     """Raised on invalid parameter values or malformed config input."""
@@ -70,7 +50,6 @@ class ExperimentParams:
     m_modes: int = 3           # temporal/spatial modes per memory
     t1_us: float = 0.0         # swap readout delay
     t2_us: float = 2.0         # verification readout delay
-    cutoff_us: float | None = None  # storage-time cutoff, None disables
     provenance: Mapping[str, str] = field(
         default_factory=lambda: dict(_DEFAULT_PROVENANCE),
         compare=False,
@@ -93,13 +72,6 @@ class ExperimentParams:
         )
         _check(self.t1_us >= 0.0, "t1_us", "t1_us >= 0", self.t1_us)
         _check(self.t2_us > self.t1_us, "t2_us", "t2_us > t1_us", self.t2_us)
-        if self.cutoff_us is not None:
-            # t2 beyond the cutoff is a representable state (the trial
-            # aborts); a cutoff at or below t1 could never accept anything
-            _check(
-                self.cutoff_us > self.t1_us, "cutoff_us",
-                "cutoff_us > t1_us", self.cutoff_us,
-            )
         if self.z_b > self.z_ac:
             warnings.warn(
                 "z_b > z_ac: swap channels noisier than verification channels",
@@ -110,12 +82,6 @@ class ExperimentParams:
     def delta_t_us(self) -> float:
         return self.t2_us - self.t1_us
 
-    @property
-    def past_cutoff(self) -> bool:
-        """The verification readout t2 lies past the storage-time cutoff, so
-        every trial aborts before the swap."""
-        return self.cutoff_us is not None and self.t2_us > self.cutoff_us
-
     def as_dict(self) -> dict:
         """Plain dict of the physical fields (no provenance)."""
         d = dataclasses.asdict(self)
@@ -124,6 +90,16 @@ class ExperimentParams:
 
     def provenance_dict(self) -> dict:
         return dict(self.provenance)
+
+
+# Config-file schema: flat "key = value" lines, one per physical field.
+# Unknown keys are errors.
+CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentParams)
+                    if f.name != "provenance")
+
+_DEFAULT_PROVENANCE = {k: "experiment-default" for k in CONFIG_KEYS}
+# Detection efficiency is never quantified in the source data; 0.5 is assumed.
+_DEFAULT_PROVENANCE["eta"] = "assumed"
 
 
 def _check(cond: bool, name: str, rule: str, value) -> None:
@@ -164,8 +140,6 @@ def _parse_value(key: str, raw: str, lineno: int):
             raise ParamError(
                 f"line {lineno}: m_modes must be an integer, got {raw!r}"
             ) from None
-    if key == "cutoff_us" and raw.lower() == "none":
-        return None
     try:
         value = float(raw)
     except ValueError:

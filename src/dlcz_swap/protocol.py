@@ -5,8 +5,7 @@ m mode pairs of both links, heralding detectors fire per mode, the switch
 network routes the lowest common heralded index to the swap station, and the
 swap/verification clicks are sampled from the conditional distributions the
 Fock engine computes for the surviving quadruple.  Interference-bearing
-stages are never sampled classically; only multiplexing, routing and the
-storage-time cutoff are.
+stages are never sampled classically; only multiplexing and routing are.
 
 Each mode pair of a link heralds independently with the single-mode
 probability p1, and a trial's herald stage reaches the outputs only through
@@ -209,8 +208,8 @@ class SwapStatistics:
 
     Counters: n_eg_ab1 / n_eg_b2c count trials where the link heralded in
     any mode; n_eg needs both links (any indices); n_routed needs a common
-    index and no cutoff abort; fourfold = swap click and verification
-    detector 1 click, the coincidence the multiplexing figure counts.
+    index; fourfold = swap click and verification detector 1 click, the
+    coincidence the multiplexing figure counts.
 
     The counting arm gives p11/p10/p01/p00 conditioned on the swap click,
     h = p11/(p10*p01), p_c = p10+p01.  The fringe arm gives the visibility
@@ -224,7 +223,6 @@ class SwapStatistics:
     """
 
     n_trials: int
-    n_aborted: int
     n_eg_ab1: int
     n_eg_b2c: int
     n_eg: int
@@ -256,7 +254,6 @@ class SwapStatistics:
     concurrence: float
     concurrence_raw: float
     concurrence_se: float
-    accepted_rate: float
     insufficient: bool
     flags: tuple
     seed: int
@@ -336,26 +333,20 @@ def run_batch(params: ExperimentParams, n_trials: int,
     if thetas.size == 0:
         raise ParamError("theta_grid must be non-empty")
 
-    p1 = analytic.single_mode_herald_probability(params)
-    aborted_all = params.past_cutoff
-    # no trial can reach the swap without heralds or past the cutoff
-    tables = None
-    if p1 > 0 and not aborted_all:
-        tables = conditional_tables(params, thetas)
-
     n_th = len(thetas)
-    counters = dict(n_aborted=n_trials if aborted_all else 0, n_eg_ab1=0,
-                    n_eg_b2c=0, n_eg=0, n_routed=0, n_es=0, fourfold=0)
+    counters = dict(n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=0, n_es=0,
+                    fourfold=0)
     q, r = divmod(n_trials, n_th)
     n_by_theta = np.full(n_th, q, dtype=np.int64)
     n_by_theta[:r] += 1
     ff_by_theta = np.zeros(n_th, dtype=np.int64)
     counting_counts = np.zeros(4, dtype=np.int64)
-    if tables is not None:
+    if analytic.single_mode_herald_probability(params) > 0:
+        tables = conditional_tables(params, thetas)
         fringe_cut = tables.fringe_cdf[:, :3]  # outcome = #boundaries <= u
         counting_cut = tables.counting_cdf[:3]
         p_swap1 = tables.p_swap1
-    else:
+    else:  # no trial can reach the swap without heralds
         fringe_cut = np.zeros((n_th, 3))
         counting_cut = np.zeros(3)
         p_swap1 = 0.0
@@ -364,8 +355,6 @@ def run_batch(params: ExperimentParams, n_trials: int,
     # interference words are computed from their counters for the routed
     # trials alone.
     p_common, p_both, p_a, p_any = _herald_bounds(params)
-    if aborted_all:
-        p_common = 0.0
     herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
     routed_chunks = []
     for lo in range(0, n_trials, CHUNK_TRIALS):
@@ -477,7 +466,6 @@ def _assemble(params, n_trials, counters, thetas, n_by_theta, ff_by_theta,
 
     return SwapStatistics(
         n_trials=n_trials,
-        n_aborted=counters["n_aborted"],
         n_eg_ab1=counters["n_eg_ab1"],
         n_eg_b2c=counters["n_eg_b2c"],
         n_eg=counters["n_eg"],
@@ -500,7 +488,6 @@ def _assemble(params, n_trials, counters, thetas, n_by_theta, ff_by_theta,
         concurrence=max(0.0, c_raw) if not math.isnan(c_raw) else float("nan"),
         concurrence_raw=c_raw,
         concurrence_se=c_se,
-        accepted_rate=(n_trials - counters["n_aborted"]) / n_trials,
         insufficient=insufficient,
         flags=tuple(flags),
         seed=seed,
@@ -592,9 +579,6 @@ def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
             "n_trials": n_trials,
             "seed": seed,
             "theta_grid": [float(t) for t in theta_grid] if theta_grid is not None else None,
-            # the heralded link is the only link model; the key stays so
-            # that sweep files written before keep their bytes
-            "conditioning": "heralded",
             "source": "monte-carlo",
         },
     )

@@ -295,9 +295,8 @@ class TrialOutcome:
     """Everything observable about a single protocol repetition.
 
     eg_ab1 / eg_b2c: the link heralded in some mode; routed: some index
-    heralded in both links and the cutoff did not abort, so the switch fed
-    it to the swap station.  A swap click implies routing, and routing
-    implies both link heralds.
+    heralded in both links, so the switch fed it to the swap station.  A
+    swap click implies routing, and routing implies both link heralds.
     """
 
     eg_ab1: bool
@@ -311,7 +310,6 @@ class TrialOutcome:
     t1_us: float
     t2_us: float
     theta: float
-    cutoff_aborted: bool = False
 
     def __post_init__(self):
         if self.es_click and not self.routed:
@@ -393,8 +391,7 @@ def run_trial(params: ExperimentParams, stream: TrialStream, theta: float,
     """
     theta = float(theta)
     category = HERALD_CATEGORIES[herald_category(params, stream.herald)]
-    aborted = params.cutoff_us is not None and params.t2_us > params.cutoff_us
-    routed = category == "common" and not aborted
+    routed = category == "common"
 
     es = ev1 = ev2 = a_click = c_click = False
     if routed:
@@ -414,5 +411,4 @@ def run_trial(params: ExperimentParams, stream: TrialStream, theta: float,
         es_click=bool(es), ev1_click=bool(ev1), ev2_click=bool(ev2),
         a_click=bool(a_click), c_click=bool(c_click),
         t1_us=params.t1_us, t2_us=params.t2_us, theta=theta,
-        cutoff_aborted=bool(aborted),
     )

@@ -297,16 +297,13 @@ def test_herald_probability(defaults):
 def test_multiplexed_rate(defaults):
     r = multiplexed_eg_probability(defaults)
     p1 = defaults.chi * defaults.eta
-    assert r.p1 == pytest.approx(p1, rel=1e-12)
     assert r.exact == pytest.approx(1.0 - (1.0 - p1) ** 3, rel=1e-12)
-    assert r.linearized == pytest.approx(3.0 * p1, rel=1e-12)
-    assert r.exact < r.linearized  # union bound is strict for p1 > 0
+    assert r.exact < 3 * p1  # union bound is strict for p1 > 0
 
 
 def test_multiplexed_rate_m1(defaults):
     r = multiplexed_eg_probability(with_overrides(defaults, m_modes=1))
-    assert r.exact == pytest.approx(r.p1, rel=1e-12)
-    assert r.linearized == pytest.approx(r.p1, rel=1e-12)
+    assert r.exact == pytest.approx(single_mode_herald_probability(defaults), rel=1e-12)
 
 
 def test_swap_pair_probability(defaults):

@@ -196,16 +196,6 @@ def test_simulate_rerun_byte_identical(tmp_path, src_env, command):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-def test_fig4_expected_rate_is_zero_past_the_cutoff(tmp_path):
-    # t2 = 2 us lies past a 1 us cutoff, so every trial aborts: the expected
-    # fourfold rate is 0, as the Monte Carlo's is
-    assert cli.main(["figures", "fig4", "--set", "cutoff_us=1", "--trials", "20000",
-                     "--seed", "5", "--format", "json", "--out", str(tmp_path)]) == 0
-    curves = {c.name: c for c in read_json(str(tmp_path / "fig4.json"))}
-    assert [row[1] for row in curves["fourfold_mc"].rows] == [0.0, 0.0, 0.0]
-    assert [row[1] for row in curves["fourfold_expected"].rows] == [0.0, 0.0, 0.0]
-
-
 def test_simulate_output_shape(tmp_path, capsys):
     assert cli.main(["simulate", "--trials", "30000", "--seed", "3",
                      "--out", str(tmp_path), "--set", "chi=0.1",
@@ -344,7 +334,7 @@ BOUNDARY_POINTS = {
     "eta1e-9": ["eta=1e-9"], "eta1": ["eta=1"], "gamma0_1e-9": ["gamma0=1e-9"],
     "tau0_1": ["tau0_us=1"], "tau0_1_t2_62": ["tau0_us=1", "t1_us=60", "t2_us=62"],
     "t2_1000": ["t2_us=1000"], "m1": ["m_modes=1"], "m40": ["m_modes=40"],
-    "cutoff_below_t2": ["cutoff_us=1"], "no_background": ["z_b=0", "z_ac=0", "xi_se=0"],
+    "no_background": ["z_b=0", "z_ac=0", "xi_se=0"],
 }
 BOUNDARY_COMMANDS = {
     "analytic": ["analytic"], "simulate": ["simulate"], "fig2": ["figures", "fig2"],

@@ -11,6 +11,7 @@ import inspect
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -858,3 +859,62 @@ def test_ideal_fringe_map_matches_readout(defaults, boosted, n_max):
             entries = fock._swap_layout(state.rho, d).ravel()
             got = np.real(fock._fringe_phases(tuple(thetas), n_max) @ (entries @ fringe_map))
             assert np.abs(got - _ideal_fringe(state, thetas)).max() <= ORACLE_TOL
+
+
+EPS = np.finfo(float).eps
+BOX_CHIS = (0.0, 1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.6)
+
+
+@pytest.fixture(scope="module")
+def box_points(defaults):
+    """200 frozen-seed points of the parameter box, chi from a ladder and the
+    rest uniform; z_b > z_ac is part of the box, so its warning is muted."""
+    rng = np.random.default_rng(2026)
+    points = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for _ in range(200):
+            t2 = rng.uniform(0.5, 400.0)
+            points.append(with_overrides(
+                defaults, chi=float(rng.choice(BOX_CHIS)), eta=rng.uniform(0.05, 1.0),
+                t2_us=t2, t1_us=rng.uniform(0.0, t2),
+                z_b=float(rng.choice((0.0, 1e-3, 1e-2))),
+                z_ac=float(rng.choice((0.0, 3e-3, 3e-2))),
+                xi_se=rng.uniform(0.0, 1.0), gamma0=rng.uniform(0.05, 1.0)))
+    return points
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_invariants_over_the_parameter_box(box_points, n_max):
+    # Exact invariants of every report, on the 16-point grid and its
+    # negation.  Each bound sits a few ulps above the worst of this scan
+    # (n_max 2 and 3): trace 2 eps, -lambda_min 1.9e-30 (another seed
+    # reaches 0.8 eps, eigvalsh's rounding at |rho| <= 1), row sums 3.5 eps,
+    # theta mirror eps/4, and p_coinc peaks exactly at theta = 0.  The
+    # hermiticity (4.5e-33) and negative-entry (3.8e-35) residues are
+    # products of two roundings, below eps**2.  p10 = p01 is left out: the
+    # mixer's truncation breaks it by up to a few percent.
+    grid = np.array(fock.default_theta_grid())
+    worst_locc = -math.inf
+    for params in box_points:
+        report = swap_pipeline(params, grid, n_max=n_max)
+        mirror = swap_pipeline(params, -grid, n_max=n_max)
+        rho = report.rho_ac.rho
+        assert abs(np.trace(rho) - 1.0) <= 4 * EPS, params
+        assert np.abs(rho - rho.conj().T).max() <= EPS ** 2, params
+        assert np.linalg.eigvalsh(rho).min() >= -4 * EPS, params
+        for joint in (report.fringe_joint, mirror.fringe_joint, report.counting_joint):
+            assert np.abs(joint.sum(axis=-1) - 1.0).max() <= 6 * EPS, params
+            assert joint.min() >= -EPS ** 2, params
+        assert np.abs(report.fringe_joint - mirror.fringe_joint).max() <= EPS, params
+        for rep in (report, mirror):
+            assert 0.0 <= rep.visibility_fringe <= 1.0, params
+        assert report.p_coinc.max() - report.p_coinc[0] <= EPS * report.p_coinc.max(), params
+        # local retrieval, loss and background cannot raise the concurrence
+        # (Horodecki et al., RMP 81, 865 (2009)): the detected estimate
+        # p_c (V - sqrt h) stays below the Wootters concurrence of rho_ac
+        if math.isfinite(report.h_detected):
+            p_c = report.counting_joint[1] + report.counting_joint[2]
+            detected = p_c * (report.visibility_fringe - math.sqrt(report.h_detected))
+            worst_locc = max(worst_locc, detected - report.concurrence_wootters)
+    assert worst_locc <= 0.0

@@ -5,7 +5,9 @@ import pathlib
 
 import pytest
 
+from dlcz_swap import cli
 from dlcz_swap.params import (
+    CONFIG_KEYS,
     ExperimentParams,
     ParamError,
     experiment_defaults,
@@ -30,7 +32,6 @@ def test_defaults_values():
     assert p.m_modes == 3
     assert p.t1_us == 0.0
     assert p.t2_us == 2.0
-    assert p.cutoff_us is None
 
 
 def test_delta_t():
@@ -74,12 +75,21 @@ def test_time_ordering():
         with_overrides(p, t1_us=3.0)  # default t2=2 now violates ordering
 
 
-def test_cutoff_must_exceed_t1():
-    p = experiment_defaults()
-    q = with_overrides(p, cutoff_us=1.0)  # t2=2 > cutoff is fine: the trial aborts
-    assert q.cutoff_us == 1.0
-    with pytest.raises(ParamError):
-        with_overrides(p, cutoff_us=0.0)
+def test_cutoff_us_is_an_unknown_key(tmp_path, capsys):
+    # both links herald in the same trial, so no memory waits and a
+    # storage-time cutoff has nothing to act on: a config line or override
+    # that names one is an unknown key
+    path = tmp_path / "old.cfg"
+    path.write_text("chi = 0.01\ncutoff_us = 30.0\n")
+    with pytest.raises(ParamError, match="unknown key 'cutoff_us'"):
+        load_params(str(path))
+    with pytest.raises(ParamError, match="unknown parameter 'cutoff_us'"):
+        load_params(None, {"cutoff_us": "30"})  # the --set path
+    with pytest.raises(ParamError, match="unknown parameter 'cutoff_us'"):
+        with_overrides(experiment_defaults(), cutoff_us=30.0)
+    for argv in (["--config", str(path)], ["--set", "cutoff_us=30"]):
+        assert cli.main(["simulate", "--trials", "100", "--out", str(tmp_path), *argv]) == 2
+        assert "unknown" in capsys.readouterr().err
 
 
 def test_gamma0_range():
@@ -105,11 +115,11 @@ def test_unknown_key_rejected():
 
 
 def test_config_round_trip(tmp_path):
-    p = with_overrides(experiment_defaults(), chi=0.03, t2_us=12.0, cutoff_us=40.0)
+    p = with_overrides(experiment_defaults(), chi=0.03, t2_us=12.0)
     text = ("# key = value  (comments run to the end of a line)\n"
             "chi = 0.03  # override\neta = 0.5\ngamma0 = 0.68\ntau0_us = 320.0\n"
             "z_b = 0.001\nz_ac = 0.003\nxi_se = 0.3\nf_cav = 10.0\nm_modes = 3\n"
-            "t1_us = 0.0\nt2_us = 12.0\ncutoff_us = 40.0\n")
+            "t1_us = 0.0\nt2_us = 12.0\n")
     parsed = parse_config(text)
     assert parsed == p.as_dict()
     # and through a file
@@ -121,18 +131,16 @@ def test_config_round_trip(tmp_path):
 
 
 def test_demo_config_is_the_defaults():
-    # the shipped config spells out the defaults and leaves the cutoff disabled
+    # the shipped config spells out the defaults
     text = DEMO_CONFIG.read_text()
-    assert "cutoff_us" not in text
-    assert parse_config(text).get("cutoff_us") is None
+    assert list(parse_config(text)) == list(CONFIG_KEYS)
     assert load_params(str(DEMO_CONFIG)).as_dict() == experiment_defaults().as_dict()
 
 
 def test_load_params_string_overrides():
-    p = load_params(str(DEMO_CONFIG), {"chi": "0.05", "m_modes": "2", "cutoff_us": "none"})
+    p = load_params(str(DEMO_CONFIG), {"chi": "0.05", "m_modes": "2"})
     assert p.chi == 0.05
     assert p.m_modes == 2
-    assert p.cutoff_us is None
     assert p.provenance_dict()["chi"] == "override"
 
 

@@ -134,7 +134,7 @@ def test_mode_categories_of_forced_heralds(boosted):
 
 
 # (m, overrides): m from one mode per link to m = 200, whose per-mode herald
-# stage would draw 400 words a trial; then the cutoff-abort and chi=0 paths
+# stage would draw 400 words a trial; then the chi=0 path
 SCALAR_CASES = {
     "m1": (1, {}),
     "m3": (3, {}),
@@ -142,7 +142,6 @@ SCALAR_CASES = {
     "m32": (32, {}),
     "m40": (40, {}),
     "m200": (200, {}),
-    "cutoff-abort": (3, dict(t1_us=0.0, t2_us=50.0, cutoff_us=30.0)),
     "chi0": (3, dict(chi=0.0)),
 }
 
@@ -159,14 +158,13 @@ def test_batch_equals_scalar_loop(boosted, monkeypatch, m, overrides):
 
     # chi=0 never routes a trial, and the heralded engine state is undefined there
     tables = conditional_tables(params, tuple(grid)) if params.chi > 0 else None
-    counters = dict(n_aborted=0, n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=0,
-                    n_es=0, fourfold=0)
+    counters = dict(n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=0, n_es=0,
+                    fourfold=0)
     counting = np.zeros(4, dtype=int)
     ff_by_theta = np.zeros(len(grid), dtype=int)
     for i in range(n):
         theta = grid[i % len(grid)]
         out = run_trial(params, trial_stream(17, i), theta, tables=tables)
-        counters["n_aborted"] += out.cutoff_aborted
         counters["n_eg_ab1"] += out.eg_ab1
         counters["n_eg_b2c"] += out.eg_b2c
         counters["n_eg"] += out.eg_ab1 and out.eg_b2c
@@ -184,9 +182,7 @@ def test_batch_equals_scalar_loop(boosted, monkeypatch, m, overrides):
     assert np.array_equal(batch.counting_counts, counting)
     assert np.array_equal(batch.fourfold_by_theta, ff_by_theta)
     assert np.array_equal(batch.n_by_theta, np.bincount(np.arange(n) % len(grid)))
-    if "cutoff_us" in overrides:
-        assert batch.n_aborted == n and batch.n_eg_ab1 > 0
-    elif params.chi == 0:
+    if params.chi == 0:
         assert batch.n_eg_ab1 == batch.n_eg_b2c == 0
     else:
         assert batch.n_es > 0  # the swap-click path was exercised
@@ -369,7 +365,6 @@ FULL_CHUNK_PINS = {
 @pytest.mark.parametrize("m", FULL_CHUNK_PINS)
 def test_full_chunk_counts_pinned(boosted, m):
     batch = run_batch(with_overrides(boosted, m_modes=m), 100_000, seed=20260818)
-    assert batch.n_aborted == 0
     for key, want in FULL_CHUNK_PINS[m].items():
         assert np.array_equal(getattr(batch, key), want), key
 
@@ -459,28 +454,6 @@ def test_destructive_null(boosted):
     rate = batch.fourfold / max(batch.n_es, 1)
     se = math.sqrt(max(null * (1 - null), 1e-12) / max(batch.n_es, 1))
     assert abs(rate - null) < 4 * se
-
-
-def test_cutoff_none_equals_disabled(boosted):
-    a = run_batch(with_overrides(boosted, cutoff_us=None), 20_000, seed=2)
-    b = run_batch(with_overrides(boosted, cutoff_us=1e9), 20_000, seed=2)
-    da, db = a.as_dict(), b.as_dict()
-    assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
-
-
-def test_cutoff_aborts_everything(boosted):
-    p = with_overrides(boosted, t1_us=0.0, t2_us=50.0, cutoff_us=30.0)
-    batch = run_batch(p, 5_000, seed=2)
-    assert batch.n_aborted == batch.n_trials
-    assert batch.n_routed == 0 and batch.n_es == 0
-    assert batch.insufficient
-    # heralds still happen (generation precedes storage), the swap does not
-    out = run_trial(p, trial_stream(2, 0), 0.0)
-    assert out.cutoff_aborted
-    assert not out.routed
-    assert not out.es_click
-    # accepted_rate counts the surviving fraction
-    assert batch.accepted_rate == 0.0
 
 
 def test_variance_scaling(boosted):
