@@ -4,7 +4,7 @@ Runs the seeded Monte Carlo layer and checks it against the other two:
 per-link herald rates against the closed form, conditional click rates
 against the engine tables, and the multiplexing gain of running three
 memory modes per interface instead of one.  Everything here is driven by
-counter-based random streams, so the numbers below reproduce exactly.
+seeded Philox random streams, so the numbers below reproduce exactly.
 """
 
 import numpy as np
@@ -53,8 +53,8 @@ for m in (1, 2, 3):
 print()
 
 # --- determinism ------------------------------------------------------------
-# Each trial owns fixed slots of a counter-based stream, so a rerun at the
-# same seed replays every outcome.
+# Both random streams are keyed by the seed and read in order, so a rerun at
+# the same seed replays every outcome.
 
 again = protocol.run_batch(params, n, theta_grid=thetas, seed=11)
 same = (again.n_es == batch.n_es

@@ -23,21 +23,18 @@ categories (Sangouard et al., RMP 83, 33 (2011), section IV):
 so one uniform per trial picks its category against the cumulative bounds
 [P_c, eg^2, eg, 1 - (1 - eg)^2] (_herald_bounds), whatever m is.
 
-Randomness is counter-based (Philox4x64-10) and sliced per trial index, so
-a batch gives bit-identical outcomes for any chunking.
-Stream layout, per trial index i:
+Randomness comes from two Philox4x64-10 streams per batch, each read in
+order with np.random.Philox(key=...).random_raw:
 
-  herald stream        key (seed, stream_offset):   word i, the herald
-                       category.
-  interference stream  key (seed, stream_offset+1): tick i, four uniforms
-                       [u_swap, u_fringe, u_counting, spare].
+  herald stream        key (seed, stream_offset):   word i picks trial i's
+                       herald category.
+  interference stream  key (seed, stream_offset+1): words 3j, 3j+1, 3j+2
+                       are [u_swap, u_fringe, u_counting] of the j-th trial
+                       routed to the swap.
 
-Tick t of a key is the Philox block of counter (t + 1, 0, 0, 0), the block
-np.random.Philox(key=...).random_raw emits t-th, and word i is word i mod 4
-of tick i // 4.  run_batch draws the herald stream in order, but computes a
-trial's interference tick from its counter (_philox_ticks) only for the
-trials routed to the swap, a few in 1e4 at the defaults; the words are those
-of the layout above either way.
+Routed trials are found in trial order whatever the chunking, so a batch
+gives bit-identical outcomes for any CHUNK_TRIALS, and the same seed gives
+the same outcomes under one numpy version.
 
 Each uniform is the double Generator.random() makes of one 64-bit Philox
 word w, u = (w >> 11) * 2**-53.  run_batch decides u < p on the raw word
@@ -73,49 +70,12 @@ __all__ = [
 ]
 
 # Trials vectorized per chunk.  A chunk draws one herald word per trial, a
-# 128 KB block for any m, and trial i always reads word i, so the chunking
-# never changes the sampled outcomes.
+# 128 KB block for any m; routed trials draw three interference words each,
+# in blocks of at most CHUNK_TRIALS.  Neither stream's layout depends on the
+# chunking (module docstring).
 CHUNK_TRIALS = 16_384
 
 _TWO_53 = float(2 ** 53)  # Generator.random() keeps the top 53 bits of a word
-
-# Philox4x64-10 round multipliers and key bumps (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple:
-    """High and low 64-bit words of the 128-bit products m * x, the high
-    word built from 32-bit halves (call under np.errstate(over="ignore"))."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LO32, x >> _S32
-    t = x_hi * m_lo + ((x_lo * m_lo) >> _S32)
-    u = x_lo * m_hi + (t & _LO32)
-    return x_hi * m_hi + (t >> _S32) + (u >> _S32), x * np.uint64(m)
-
-
-def _philox_ticks(seed: int, stream: int, ticks: np.ndarray) -> np.ndarray:
-    """(len(ticks), 4) raw words of the given ticks of key (seed, stream).
-
-    Row j is word for word np.random.Philox(key=[seed, stream]).random_raw
-    at [4 * ticks[j], 4 * ticks[j] + 4): numpy bumps the counter before each
-    block, so tick t is Philox4x64-10 of counter (t + 1, 0, 0, 0).
-    """
-    key = [int(seed), int(stream)]
-    c0 = np.asarray(ticks, dtype=np.uint64) + np.uint64(1)
-    # scalar zeros: the first two rounds multiply the constant words once
-    c1 = c2 = c3 = np.uint64(0)
-    with np.errstate(over="ignore"):
-        for _ in range(10):
-            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-            c0, c1, c2, c3 = (hi1 ^ c1 ^ np.uint64(key[0]), lo1,
-                              hi0 ^ c3 ^ np.uint64(key[1]), lo0)
-            key = [(k + bump) % 2 ** 64 for k, bump in zip(key, _PHILOX_BUMP)]
-    return np.stack([c0, c1, c2, c3], axis=1)
-
 
 def _below(words: np.ndarray, p: float) -> np.ndarray:
     """Where the uniform (w >> 11) * 2**-53 of each raw word w is < p.
@@ -310,18 +270,18 @@ def run_batch(params: ExperimentParams, n_trials: int,
               stream_offset: int = 0) -> SwapStatistics:
     """Run n_trials repetitions and accumulate SwapStatistics.
 
-    Trial i is assigned theta_grid[i mod len(theta_grid)].  The trial
-    index alone fixes every uniform the trial consumes, so the outcome
-    sequence is bit-identical for any CHUNK_TRIALS; chunks are evaluated
-    in order and merged by plain addition.
+    Trial i is assigned theta_grid[i mod len(theta_grid)] and reads word i
+    of the herald stream; the j-th routed trial reads words 3j..3j+2 of the
+    interference stream (module docstring).  Neither depends on
+    CHUNK_TRIALS, so the outcomes are bit-identical for any chunking.
 
     Per chunk of CHUNK_TRIALS trials, each trial's herald word is compared
     against the cumulative bounds of the herald categories (_herald_bounds):
     counting the words below each bound gives the herald counters, and
-    flatnonzero the routed trials.  Only the routed trials' interference
-    ticks are computed, from their counters (_philox_ticks), in blocks of
-    CHUNK_TRIALS; only swap-click trials turn their fringe and counting
-    words into uniforms for the table lookup.
+    flatnonzero the routed trials.  The routed trials then draw their
+    interference words in blocks of at most CHUNK_TRIALS; only swap-click
+    trials turn their fringe and counting words into uniforms for the table
+    lookup.
     """
     n_trials = _check_int(n_trials, "n_trials", 1, math.inf)
     seed = _check_int(seed, "seed")
@@ -351,9 +311,8 @@ def run_batch(params: ExperimentParams, n_trials: int,
         counting_cut = np.zeros(3)
         p_swap1 = 0.0
 
-    # The herald stream is read in trial order, one word per trial; the
-    # interference words are computed from their counters for the routed
-    # trials alone.
+    # Both streams are read in order: one herald word per trial, then three
+    # interference words per routed trial.
     p_common, p_both, p_a, p_any = _herald_bounds(params)
     herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
     routed_chunks = []
@@ -368,9 +327,11 @@ def run_batch(params: ExperimentParams, n_trials: int,
     routed_all = np.concatenate(routed_chunks)
     counters["n_routed"] = routed_all.size
 
+    interference_gen = np.random.Philox(
+        key=np.array([seed, stream_offset + 1], dtype=np.uint64))
     for start in range(0, routed_all.size, CHUNK_TRIALS):
         routed = routed_all[start:start + CHUNK_TRIALS]
-        ui = _philox_ticks(seed, stream_offset + 1, routed)
+        ui = interference_gen.random_raw(3 * routed.size).reshape(-1, 3)
         swap = _below(ui[:, 0], p_swap1)
         sel, ui = routed[swap], ui[swap]
         counters["n_es"] += sel.size

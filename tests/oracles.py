@@ -276,18 +276,16 @@ def wootters_concurrence(rho4: np.ndarray) -> float:
 
 # -- scalar trial loop --------------------------------------------------------
 
-_WORDS_PER_TICK = 4  # Philox4x64 emits four 64-bit words per counter tick
+_WORDS_PER_ROUTED = 3  # interference words per routed trial: swap, fringe, counting
 
 # herald categories in the order of protocol._herald_bounds
 HERALD_CATEGORIES = ("common", "both", "a-only", "b-only", "none")
 
 
-def _uniform_block(seed: int, stream: int, first_tick: int, n_ticks: int) -> np.ndarray:
-    """Doubles for ticks [first_tick, first_tick + n_ticks) of one stream."""
+def _uniform_words(seed: int, stream: int, first: int, n: int) -> np.ndarray:
+    """Doubles of words [first, first + n) of one stream, drawn from its start."""
     bg = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-    if first_tick:
-        bg.advance(first_tick)
-    return np.random.Generator(bg).random(n_ticks * _WORDS_PER_TICK)
+    return np.random.Generator(bg).random(first + n)[first:]
 
 
 @dataclass(frozen=True)
@@ -323,22 +321,25 @@ class TrialStream:
     """Uniform draws for one trial, sliced from the global counter streams."""
 
     herald: float             # one double: the herald category
-    interference: np.ndarray  # 4 doubles: swap, fringe joint, counting joint, spare
+    interference: np.ndarray  # 3 doubles: swap, fringe joint, counting joint
 
     def __post_init__(self):
-        if len(self.interference) != _WORDS_PER_TICK:
-            raise ValueError("interference slice must hold 4 doubles")
+        if len(self.interference) != _WORDS_PER_ROUTED:
+            raise ValueError("interference slice must hold 3 doubles")
 
 
-def trial_stream(seed: int, index: int, stream_offset: int = 0) -> TrialStream:
-    """The exact uniforms trial `index` consumes inside run_batch: word
-    `index` of the herald stream and tick `index` of the interference one."""
+def trial_stream(seed: int, index: int, stream_offset: int = 0,
+                 routed_rank: int = 0) -> TrialStream:
+    """The exact uniforms trial `index` consumes inside run_batch when
+    `routed_rank` trials before it were routed: word `index` of the herald
+    stream, and words 3 * routed_rank .. 3 * routed_rank + 2 of the
+    interference one (read only if this trial is routed too)."""
     seed = protocol._check_int(seed, "seed")
-    if index < 0:
-        raise ParamError("trial index must be >= 0")
-    tick, word = divmod(index, _WORDS_PER_TICK)
-    herald = float(_uniform_block(seed, stream_offset, tick, 1)[word])
-    interference = _uniform_block(seed, stream_offset + 1, index, 1)
+    if index < 0 or routed_rank < 0:
+        raise ParamError("trial index and routed rank must be >= 0")
+    herald = float(_uniform_words(seed, stream_offset, index, 1)[0])
+    interference = _uniform_words(seed, stream_offset + 1,
+                                  _WORDS_PER_ROUTED * routed_rank, _WORDS_PER_ROUTED)
     return TrialStream(herald=herald, interference=interference)
 
 

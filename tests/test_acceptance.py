@@ -71,6 +71,31 @@ def test_multiplexed_generation_gain_and_linearity(defaults):
              f"R^2={r2:.5f} (want > 0.99)")
 
 
+def test_swap_probability_three_times(defaults, boosted):
+    # the abstract: multiplexing raises the swap success probability "by
+    # three times" over the non-multiplexed scheme, m = 3 against m = 1
+    exact = {m: analytic.swap_pair_probability(with_overrides(defaults, m_modes=m))
+             for m in (1, 3)}
+    closed_ok = abs(exact[3] / exact[1] - 3.0) <= 1e-4
+
+    # the MC's routed trials at chi = 0.1, eta = 0.8, where each count is in
+    # the thousands; distinct seeds keep the two counts independent
+    n = 1_000_000
+    counts, p_c = {}, {}
+    for m, seed in ((1, 83), (3, 84)):
+        params = with_overrides(boosted, m_modes=m)
+        counts[m] = protocol.run_batch(params, n, theta_grid=(0.0,), seed=seed).n_routed
+        p_c[m] = analytic.swap_pair_probability(params)
+    want = p_c[3] / p_c[1]
+    ratio = counts[3] / counts[1]
+    se = want * math.sqrt(sum((1.0 - p_c[m]) / (n * p_c[m]) for m in (1, 3)))
+    mc_ok = abs(ratio - want) <= 4.0 * se
+    _verdict(closed_ok and mc_ok, "swap probability three times",
+             f"defaults P_c(m=3)/P_c(m=1)={exact[3] / exact[1]:.6f} (want 3 to 1e-4); "
+             f"chi=0.1 eta=0.8 routed m=3:m=1 = {ratio:.4f} ({counts[3]}/{counts[1]}) "
+             f"vs closed form {want:.5f}, {abs(ratio - want) / se:.2f} sigma (limit 4)")
+
+
 def _sigma_equivalent(count: int, n: int, p: float) -> float:
     """Two-sided exact binomial tail, expressed as a normal z-score.
 

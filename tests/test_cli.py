@@ -76,7 +76,7 @@ def test_threshold_report(tmp_path, capsys):
     report = json.loads((tmp_path / "threshold.json").read_text())
     assert report["threshold_approx"] == pytest.approx(16 + 8 * math.sqrt(3), abs=1e-6)
     assert report["threshold_exact_form"] == pytest.approx(27.242227143, abs=1e-6)
-    assert report["reported"] == 29.3
+    assert report["reported"] == 30.0  # the abstract's "cross-correlation >= 30"
     assert report["relative_difference"] < 0.025
     assert abs(report["margin_at_threshold"]) <= 1e-9
     out = capsys.readouterr().out

@@ -605,7 +605,7 @@ ORACLE_NAMES = (
     "ClickOutcome", "vacuum", "_apply_matrix", "_apply_unitary", "_apply_kraus",
     "apply_beam_splitter", "_beam_splitter_unitary", "_pair_source_unitary",
     "apply_pair_source", "apply_retrieval", "inject_noise", "_click_kraus",
-    "measure_click", "partial_trace", "joint_clicks", "_uniform_block",
+    "measure_click", "partial_trace", "joint_clicks", "_uniform_words",
     "TrialOutcome", "TrialStream", "trial_stream", "_sample_joint", "run_trial",
     "herald_category", "mode_categories", "mode_category_counts",
     "wootters_concurrence",
@@ -620,8 +620,10 @@ def test_replaced_paths_live_only_in_the_oracle():
         for module in (dlcz_swap, fock, protocol):
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(protocol.ConditionalTables, "theta_row")
-    # one herald word per trial: the per-mode herald stage is gone
-    for name in ("_herald_ticks", "_herald_flags", "_WORDS_PER_TICK"):
+    # one herald word per trial: the per-mode herald stage is gone; the
+    # interference words come from numpy's Philox, not a kernel of its own
+    for name in ("_herald_ticks", "_herald_flags", "_WORDS_PER_TICK",
+                 "_philox_ticks", "_mulhilo", "_PHILOX_M", "_PHILOX_BUMP"):
         assert not hasattr(protocol, name), name
     for name in ("verification_fringe", "verification_joint", "counting_joint",
                  "_readout_joints", "_JOINT_KEYS", "in_mode_noise", "_readout_lowering"):

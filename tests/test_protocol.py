@@ -5,7 +5,7 @@ draws doubles; run_batch must reproduce its counts.  Its one-word herald
 category draw is also tested in distribution against the per-mode herald
 stage kept there, and against exact rationals.  The stream tests
 rebuild the documented Philox layout with numpy directly, so a regression
-in the advance arithmetic cannot hide behind itself.
+in the oracle's word arithmetic cannot hide behind itself.
 """
 
 import dataclasses
@@ -47,20 +47,21 @@ def _philox_words(seed, stream, n_words):
 def test_trial_stream_matches_flat_philox():
     seed = 91
     herald_flat = _philox_words(seed, 0, 40)
-    interf_flat = _philox_words(seed, 1, 4 * 40)
-    for i in (0, 1, 7, 39):
-        ts = trial_stream(seed, i)
+    interf_flat = _philox_words(seed, 1, 3 * 40)
+    for i, j in ((0, 0), (1, 0), (7, 2), (39, 39)):
+        ts = trial_stream(seed, i, routed_rank=j)
         assert ts.herald == herald_flat[i]  # one herald word per trial
-        assert np.array_equal(ts.interference, interf_flat[4 * i:4 * i + 4])
+        # three interference words per routed trial, keyed by routed rank
+        assert np.array_equal(ts.interference, interf_flat[3 * j:3 * j + 3])
 
 
 def test_trial_stream_offset_selects_streams():
     seed = 5
     herald_flat = _philox_words(seed, 6, 10)
-    interf_flat = _philox_words(seed, 7, 4 * 10)
-    ts = trial_stream(seed, 3, stream_offset=6)
+    interf_flat = _philox_words(seed, 7, 3 * 10)
+    ts = trial_stream(seed, 3, stream_offset=6, routed_rank=4)
     assert ts.herald == herald_flat[3]
-    assert np.array_equal(ts.interference, interf_flat[12:16])
+    assert np.array_equal(ts.interference, interf_flat[12:15])
 
 
 def test_trial_stream_validation():
@@ -68,6 +69,8 @@ def test_trial_stream_validation():
         trial_stream(-1, 0)
     with pytest.raises(ParamError):
         trial_stream(0, -1)
+    with pytest.raises(ParamError):
+        trial_stream(0, 0, routed_rank=-1)
 
 
 def test_outcome_invariant():
@@ -101,10 +104,10 @@ def test_run_trial_forced_paths(boosted):
         return run_trial(boosted, ts, 0.0, tables=tables)
 
     # u = 0 is below every bound: a common index, routed to the swap
-    out = play(0.0, [0.0, 0.5, 0.5, 0.0])
+    out = play(0.0, [0.0, 0.5, 0.5])
     assert out.eg_ab1 and out.eg_b2c and out.routed
     assert out.es_click  # u_swap = 0 < p_swap1
-    out2 = play(0.0, [0.999999, 0.5, 0.5, 0.0])
+    out2 = play(0.0, [0.999999, 0.5, 0.5])
     assert not out2.es_click and not out2.ev1_click
 
     # one uniform inside each later category
@@ -112,7 +115,7 @@ def test_run_trial_forced_paths(boosted):
     want = {"both": (True, True), "a-only": (True, False), "b-only": (False, True),
             "none": (False, False)}
     for k, u in enumerate((bounds[0], bounds[1], bounds[2], bounds[3]), start=1):
-        out3 = play(float(u), [0.0, 0.5, 0.5, 0.0])
+        out3 = play(float(u), [0.0, 0.5, 0.5])
         assert (out3.eg_ab1, out3.eg_b2c) == want[HERALD_CATEGORIES[k]]
         assert not out3.routed and not out3.es_click
 
@@ -164,7 +167,8 @@ def test_batch_equals_scalar_loop(boosted, monkeypatch, m, overrides):
     ff_by_theta = np.zeros(len(grid), dtype=int)
     for i in range(n):
         theta = grid[i % len(grid)]
-        out = run_trial(params, trial_stream(17, i), theta, tables=tables)
+        stream = trial_stream(17, i, routed_rank=counters["n_routed"])
+        out = run_trial(params, stream, theta, tables=tables)
         counters["n_eg_ab1"] += out.eg_ab1
         counters["n_eg_b2c"] += out.eg_b2c
         counters["n_eg"] += out.eg_ab1 and out.eg_b2c
@@ -226,25 +230,9 @@ def test_raw_words_convert_like_generator():
         assert np.array_equal(protocol._below(raw, p), doubles < p)
 
 
-PHILOX_KEYS = [(seed, stream) for seed in (0, 20260818, 2 ** 63 + 1, 2 ** 64 - 1)
-               for stream in (0, 2 ** 64 - 1)]
-
-
-@pytest.mark.parametrize("seed, stream", PHILOX_KEYS)
-def test_philox_ticks_match_random_raw(seed, stream):
-    # the counter kernel gives numpy's own words for any tick, across chunk
-    # boundaries and for keys with the top bit set
-    n_ticks = 1_000_000
-    ticks = np.concatenate([[0, 1, 16383, 16384],
-                            np.random.default_rng(seed % 997).integers(0, n_ticks, 300)])
-    raw = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)).random_raw(
-        4 * n_ticks).reshape(n_ticks, 4)
-    assert np.array_equal(protocol._philox_ticks(seed, stream, ticks), raw[ticks])
-
-
-def test_run_batch_builds_only_the_herald_generator(defaults, monkeypatch):
-    # the interference words of routed trials come from their counters, so
-    # the only Philox generator a batch builds is the herald stream's
+def test_run_batch_builds_one_generator_per_stream(defaults, monkeypatch):
+    # a batch reads two Philox streams in order: the herald stream's key
+    # (seed, offset) and the interference stream's key (seed, offset + 1)
     keys = []
     philox = np.random.Philox
 
@@ -255,29 +243,35 @@ def test_run_batch_builds_only_the_herald_generator(defaults, monkeypatch):
     monkeypatch.setattr(protocol.np.random, "Philox", recording)
     batch = run_batch(defaults, 100_000, seed=11, stream_offset=4)
     assert batch.n_routed > 0
-    assert keys == [(11, 4)]
+    assert keys == [(11, 4), (11, 5)]
 
 
-def test_herald_draws_stay_within_the_1mb_block(defaults, monkeypatch):
-    # one herald word per trial: no chunk draws more than CHUNK_TRIALS words,
-    # a 128 KB block, whatever the mode count
-    requests = []
+def test_herald_draws_stay_within_the_1mb_block(boosted, monkeypatch):
+    # one herald word per trial: no chunk draws more than CHUNK_TRIALS herald
+    # words, a 128 KB block, whatever the mode count; a block of routed
+    # trials draws three interference words each, at most 3 * CHUNK_TRIALS
+    requests = {}
     philox = np.random.Philox
 
     class Recording:
         def __init__(self, *args, **kwargs):
             self.generator = philox(*args, **kwargs)
+            self.sizes = requests.setdefault(int(kwargs["key"][1]), [])
 
         def random_raw(self, size):
-            requests.append(size)
+            self.sizes.append(size)
             return self.generator.random_raw(size)
 
     monkeypatch.setattr(protocol.np.random, "Philox", Recording)
     c = protocol.CHUNK_TRIALS
     for m in (1, 3, 32, 200):
         requests.clear()
-        run_batch(with_overrides(defaults, m_modes=m), 40_000, seed=3)
-        assert requests == [c, c, 40_000 - 2 * c], m
+        batch = run_batch(with_overrides(boosted, m_modes=m), 40_000, seed=3)
+        assert requests[0] == [c, c, 40_000 - 2 * c], m
+        interference = requests.get(1, [])
+        assert all(size <= 3 * c for size in interference), m
+        assert sum(interference) == 3 * batch.n_routed, m
+    assert len(interference) == 2  # m = 200 routes more than CHUNK_TRIALS
 
 
 # The category table over a seeded grid, with the edges chi = 0, p1 = 1,
@@ -348,17 +342,17 @@ def test_herald_categories_match_per_mode_oracle(boosted, m, chi):
 # run_batch counters at chi=0.1, eta=0.8, 100 000 trials, seed 20260818:
 # six full chunks and a partial one, at few and at many modes
 FULL_CHUNK_PINS = {
-    3: dict(n_eg_ab1=22187, n_eg_b2c=22051, n_eg=4898, n_routed=1935, n_es=612,
-            fourfold=181, counting_counts=[37, 120, 127, 328],
-            fourfold_by_theta=[13, 11, 10, 8, 10, 7, 14, 4, 6, 10, 11, 10, 17, 16, 20, 14]),
-    32: dict(n_eg_ab1=93079, n_eg_b2c=92922, n_eg=86507, n_routed=18621, n_es=6182,
-             fourfold=1795, counting_counts=[490, 1302, 1301, 3089],
-             fourfold_by_theta=[125, 166, 141, 125, 106, 97, 91, 88, 64, 86, 104, 82,
-                                107, 118, 146, 149]),
-    40: dict(n_eg_ab1=96445, n_eg_b2c=96456, n_eg=93025, n_routed=22722, n_es=7608,
-             fourfold=2177, counting_counts=[611, 1626, 1597, 3774],
-             fourfold_by_theta=[156, 195, 170, 151, 127, 119, 113, 107, 79, 112, 118, 94,
-                                130, 145, 174, 187]),
+    3: dict(n_eg_ab1=22187, n_eg_b2c=22051, n_eg=4898, n_routed=1935, n_es=633,
+            fourfold=172, counting_counts=[59, 132, 140, 302],
+            fourfold_by_theta=[10, 11, 14, 18, 9, 11, 5, 5, 12, 5, 10, 12, 16, 13, 10, 11]),
+    32: dict(n_eg_ab1=93079, n_eg_b2c=92922, n_eg=86507, n_routed=18621, n_es=6169,
+             fourfold=1740, counting_counts=[464, 1348, 1365, 2992],
+             fourfold_by_theta=[139, 128, 146, 116, 99, 99, 94, 72, 110, 74, 89, 102,
+                                97, 114, 123, 138]),
+    40: dict(n_eg_ab1=96445, n_eg_b2c=96456, n_eg=93025, n_routed=22722, n_es=7565,
+             fourfold=2109, counting_counts=[561, 1670, 1665, 3669],
+             fourfold_by_theta=[171, 191, 153, 159, 128, 115, 108, 94, 86, 97, 102, 119,
+                                126, 127, 156, 177]),
 }
 
 
@@ -575,3 +569,89 @@ def test_seeds_above_2_63_stay_distinct(boosted):
     assert outcomes(2 ** 64 - 1) != outcomes(0)
     for stream in (trial_stream(2 ** 63 + 1, 0), trial_stream(2 ** 64 - 1, 0)):
         assert stream.herald != trial_stream(0, 0).herald
+
+
+# Hand-made counts for the estimators of _assemble: a counting arm over
+# JOINT_ORDER (p11, p10, p01, p00) and a four-point fringe with its peak at
+# theta = 0 (B > 0) or at theta = pi (B < 0)
+COUNTING = [8, 120, 127, 357]
+N_ROUTED = 1935
+FRINGE_THETAS = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+FRINGE_TRIALS = [2500, 2500, 2500, 2500]
+FRINGES = {"peak-0": [61, 33, 9, 30], "peak-pi": [9, 30, 61, 33]}
+
+
+def _assemble_hand_made(params, fourfold):
+    counting = np.array(COUNTING)
+    counters = dict(n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=N_ROUTED,
+                    n_es=int(counting.sum()), fourfold=sum(fourfold))
+    return protocol._assemble(params, 10_000, counters, np.array(FRINGE_THETAS),
+                              np.array(FRINGE_TRIALS), np.array(fourfold), counting, 0, 0)
+
+
+def _fringe_fit(fourfold):
+    """(A, B, cov) of the weighted least-squares fit k/n = A + B cos(theta),
+    weights n / (p (1 - p)) at the smoothed rate p = (k + 1/2) / (n + 1),
+    solved by the 2x2 normal equations; cov is their inverse."""
+    k, n = np.array(fourfold, float), np.array(FRINGE_TRIALS, float)
+    cos, r = np.cos(FRINGE_THETAS), k / n
+    p_s = (k + 0.5) / (n + 1.0)
+    w = n / (p_s * (1.0 - p_s))
+    s_w, s_c, s_cc = w.sum(), (w * cos).sum(), (w * cos * cos).sum()
+    s_r, s_cr = (w * r).sum(), (w * cos * r).sum()
+    det = s_w * s_cc - s_c ** 2
+    a = (s_cc * s_r - s_c * s_cr) / det
+    b = (s_w * s_cr - s_c * s_r) / det
+    return a, b, np.array([[s_cc, -s_c], [-s_c, s_w]]) / det
+
+
+def _fd_se(estimator, x, cov, step=1e-7):
+    """Delta-method error of estimator at x from a central finite difference."""
+    grad = np.array([(estimator(x + step * e) - estimator(x - step * e)) / (2 * step)
+                     for e in np.eye(len(x))])
+    return math.sqrt(grad @ cov @ grad)
+
+
+@pytest.mark.parametrize("fourfold", FRINGES.values(), ids=FRINGES.keys())
+def test_assemble_estimators_exact(defaults, fourfold):
+    stats = _assemble_hand_made(defaults, fourfold)
+    n_es = sum(COUNTING)
+    p11, p10, p01, p00 = (k / n_es for k in COUNTING)
+    p_c = p10 + p01
+    h = p11 / (p10 * p01)
+    a, b, _ = _fringe_fit(fourfold)
+    v = abs(b) / a
+    want = dict(p_es=n_es / N_ROUTED, p11=p11, p10=p10, p01=p01, p00=p00,
+                p_c=p_c, h=h, fit_offset=a, fit_amplitude=b, v=v,
+                concurrence_raw=p_c * (v - math.sqrt(h)))
+    for key, value in want.items():
+        assert getattr(stats, key) == pytest.approx(value, rel=1e-12, abs=1e-12), key
+    assert stats.concurrence == max(0.0, stats.concurrence_raw) > 0.0
+    assert not stats.insufficient and stats.flags == ()
+
+
+@pytest.mark.parametrize("fourfold", FRINGES.values(), ids=FRINGES.keys())
+def test_assemble_standard_errors_match_finite_differences(defaults, fourfold):
+    # delta-method errors against central finite differences of each
+    # estimator: the counting arm under the multinomial covariance
+    # (diag(p) - p p^T) / n of its four fractions, the visibility under the
+    # covariance of the fit
+    stats = _assemble_hand_made(defaults, fourfold)
+    n_es = sum(COUNTING)
+    p = np.array(COUNTING) / n_es
+    cov = (np.diag(p) - np.outer(p, p)) / n_es
+    assert np.allclose(protocol._multinomial_cov(p, n_es), cov, rtol=1e-14, atol=0.0)
+
+    v = stats.v  # the fringe arm is independent of the counting fractions
+    counting = {
+        "p_c": (stats.p_c_se, lambda q: q[1] + q[2]),
+        "h": (stats.h_se, lambda q: q[0] / (q[1] * q[2])),
+        # the counting-arm part of the concurrence error
+        "concurrence": (math.sqrt(stats.concurrence_se ** 2 - (stats.p_c * stats.v_se) ** 2),
+                        lambda q: (q[1] + q[2]) * (v - math.sqrt(q[0] / (q[1] * q[2])))),
+    }
+    for key, (se, estimator) in counting.items():
+        assert se == pytest.approx(_fd_se(estimator, p, cov), rel=1e-6), key
+    a, b, cov_fit = _fringe_fit(fourfold)
+    v_se = _fd_se(lambda ab: abs(ab[1]) / ab[0], np.array([a, b]), cov_fit)
+    assert stats.v_se == pytest.approx(v_se, rel=1e-6)
