@@ -2,7 +2,7 @@
 
 Retrieval decay, the anti-Stokes detection probability, the
 signal-to-noise cross-correlation g, fringe visibility, the two-photon
-suppression parameter h, the concurrence estimators and the margin
+suppression parameter h, the detected concurrence bound and the margin
 V - sqrt(h) built from them, the g-threshold and the storage time where that
 margin reaches zero, and the multiplexed generation rate.  The two roots are
 solved by a small bisection, so importing the package does not pull in
@@ -24,7 +24,6 @@ from .params import ExperimentParams, ParamError, at_t2
 
 __all__ = [
     "CorrelationPair",
-    "ConcurrenceInputs",
     "MultiplexedRate",
     "ClampedVisibilityWarning",
     "retrieval_efficiency",
@@ -69,28 +68,6 @@ class CorrelationPair:
             if not value >= 1.0:
                 raise ParamError(f"{name}={value!r} violates: cross-correlation "
                                  f">= 1 (uncorrelated limit)")
-
-
-@dataclass(frozen=True)
-class ConcurrenceInputs:
-    """Measured ingredients of the concurrence estimators.
-
-    p10/p01/p11/p00 are the conditional photon-count probabilities of the two
-    verification channels, v the fringe visibility, p_c = p10 + p01 and
-    h = p11 / (p10 * p01) the derived combinations.
-    """
-
-    p10: float
-    p01: float
-    p11: float
-    p00: float
-    v: float
-    p_c: float
-    h: float
-
-    @property
-    def total(self) -> float:
-        return self.p10 + self.p01 + self.p11 + self.p00
 
 
 @dataclass(frozen=True)
@@ -164,7 +141,7 @@ def visibility(corr: CorrelationPair, form: str = "approx", clamp: bool = True) 
     form="approx": V = 1 - 4/g_b - 4/g_ac   (can go negative at low g;
     clamped to 0 with a ClampedVisibilityWarning unless clamp=False)
     form="exact":  V = 1 / (1 + 4/(g_ac - 1) + 4/(g_b - 1)), which is 0
-    when either g is 1 (the uncorrelated limit)
+    when either g is 1 (the uncorrelated limit) and 1 when both are infinite
     """
     if form == "approx":
         v = 1.0 - 4.0 / corr.g_b - 4.0 / corr.g_ac
@@ -176,13 +153,9 @@ def visibility(corr: CorrelationPair, form: str = "approx", clamp: bool = True) 
             return 0.0
         return v
     if form == "exact":
-        if math.isinf(corr.g_b) and math.isinf(corr.g_ac):
-            return 1.0
         if corr.g_b == 1.0 or corr.g_ac == 1.0:
             return 0.0
-        a = 4.0 / (corr.g_ac - 1.0) if math.isfinite(corr.g_ac) else 0.0
-        b = 4.0 / (corr.g_b - 1.0) if math.isfinite(corr.g_b) else 0.0
-        return 1.0 / (1.0 + a + b)
+        return 1.0 / (1.0 + 4.0 / (corr.g_ac - 1.0) + 4.0 / (corr.g_b - 1.0))
     raise ValueError(f"unknown visibility form {form!r}")
 
 
@@ -192,29 +165,15 @@ def suppression(corr: CorrelationPair) -> float:
     The product form: h = 1 exactly at g_b = g_ac = 16, h -> 0 as both
     correlations diverge.
     """
-    gb = 0.0 if math.isinf(corr.g_b) else 1.0 / corr.g_b
-    gac = 0.0 if math.isinf(corr.g_ac) else 1.0 / corr.g_ac
-    return 8.0 * (gb + gac)
+    return 8.0 * (1.0 / corr.g_b + 1.0 / corr.g_ac)
 
 
-def concurrence(inputs: ConcurrenceInputs, form: str = "approx") -> float:
-    """Concurrence estimators from count statistics.
-
-    form="exact":  C = max{0, ((p10+p01)*V - 2*sqrt(p00*p11)) / P}
-    form="approx": C = max{0, p_c * (V - sqrt(h))}
-    """
-    if form == "exact":
-        total = inputs.total
-        if total <= 0:
-            raise ValueError("total probability must be positive")
-        raw = ((inputs.p10 + inputs.p01) * inputs.v
-               - 2.0 * math.sqrt(inputs.p00 * inputs.p11)) / total
-        return max(0.0, raw)
-    if form == "approx":
-        if inputs.h < 0:
-            raise ValueError("h must be >= 0")
-        return max(0.0, inputs.p_c * (inputs.v - math.sqrt(inputs.h)))
-    raise ValueError(f"unknown concurrence form {form!r}")
+def concurrence(p_c: float, v: float, h: float) -> float:
+    """Detected concurrence bound C >= p_c * (V - sqrt(h)) (Chou et al.,
+    Nature 438, 828 (2005)), from the conditional pair rate p_c = p10 + p01,
+    the fringe visibility V and the suppression h.  Unclamped, so a zero
+    crossing stays visible; a negative h is a ValueError."""
+    return p_c * (v - math.sqrt(h))
 
 
 def coincidence_probability(theta: float, params: ExperimentParams) -> float:
@@ -243,7 +202,7 @@ def coincidence_probability(theta: float, params: ExperimentParams) -> float:
 def margin(corr: CorrelationPair, form: str = "approx") -> float:
     """V - sqrt(h), the sign-carrying part of the pairwise entanglement estimate.
 
-    The approximate concurrence is this margin scaled by the positive
+    The concurrence bound is this margin scaled by the positive
     conditional pair rate p_c, so its zero crossing is the concurrence zero
     crossing.  The visibility is taken unclamped so the sign stays visible.
     """
@@ -279,12 +238,10 @@ def _bisect(fun, lo: float, hi: float, xtol: float) -> float:
     raise RuntimeError(f"bisection did not converge to xtol={xtol:g} in 100 steps")
 
 
-def threshold_g(form: str = "approx", fixed_g_b: float | None = None,
-                bracket: tuple[float, float] = (8.0 + 1e-9, 1e4),
-                tol: float = 1e-10) -> float:
+def threshold_g(form: str = "approx", fixed_g_b: float | None = None) -> float:
     """Cross-correlation at which the concurrence estimator reaches zero.
 
-    Solves V - sqrt(h) = 0 by bracketed bisection on g in (8, 1e4).  With
+    Solves V - sqrt(h) = 0 by bisection on g in (8, 1e4) to 1e-10.  With
     fixed_g_b=None both correlations are set equal (symmetric threshold);
     otherwise g_b is held and the verification-stage g is solved for.
 
@@ -296,7 +253,7 @@ def threshold_g(form: str = "approx", fixed_g_b: float | None = None,
         fun = lambda g: margin(CorrelationPair(g_b=g, g_ac=g), form)
     else:
         fun = lambda g: margin(CorrelationPair(g_b=fixed_g_b, g_ac=g), form)
-    return _bisect(fun, *bracket, xtol=tol)
+    return _bisect(fun, 8.0 + 1e-9, 1e4, xtol=1e-10)
 
 
 def zero_crossing_t2(params: ExperimentParams) -> float:
@@ -324,8 +281,8 @@ def single_mode_herald_probability(params: ExperimentParams) -> float:
 def _any_of(p: float, m: int) -> float:
     """1 - (1 - p)^m, the chance that some of m independent p-events happens,
     as -expm1(m log1p(-p)): the plain form loses digits to cancellation as p
-    falls (P_c is off by 8.9e-5 relative at p1 = 5e-7)."""
-    return 1.0 if p >= 1.0 else -math.expm1(m * math.log1p(-p))
+    falls (P_c is off by 8.9e-5 relative at p1 = 5e-7).  p < 1, as chi < 1."""
+    return -math.expm1(m * math.log1p(-p))
 
 
 def multiplexed_eg_probability(params: ExperimentParams) -> MultiplexedRate:

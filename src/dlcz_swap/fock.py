@@ -239,7 +239,8 @@ def heralded_spin_state(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     Each memory pair is built from truncated two-mode squeezers, the write
     photons mixed on a beam splitter and a heralding click conditioned with
     the detector model; multi-pair corrections (order chi and up) are
-    retained in the state.  At chi = 0 each link is the noise-free
+    retained in the state.  At chi = 0 the pair before the herald is
+    |01> + |10>, and the herald leaves each link in the noise-free
     single-excitation pair (|10> - |01>)/sqrt(2), the chi -> 0 limit.
     max_entries is the size check of _link_state (a register never built).
     """
@@ -268,27 +269,24 @@ def _link_state(params: ExperimentParams, n_max: int,
 def _heralded_link(chi: float, eta: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The link of _link_state, (standard layout, readout layout), read-only.
 
-    The write photons mirror the spins in the pair state psi = c (x) c,
-    c_n = sqrt(chi^n / sum_{k <= n_max} chi^k), so the click of write_1
-    behind the 50/50 mixer U gives rho ~ (psi psi^dag) o M^T,
-    M = U^dag (E_click (x) 1) U.  At chi = 0 psi is |10> + |01>, the
-    order-sqrt(chi) term of c (x) c: the herald removes the vacuum term, so
-    this is the exact chi -> 0 limit.
+    The write photons mirror the spins in the pair state c (x) c, c_n =
+    chi^(n/2), and the click of write_1 behind the 50/50 mixer U gives
+    rho ~ (psi psi^dag) o M^T, M = U^dag (E_click (x) 1) U.  The click never
+    fires on the vacuum, so psi = (c (x) c - |00>)/sqrt(chi), psi_ij =
+    chi^((i + j - 1)/2) off |00>, gives the same rho at any chi > 0, and at
+    chi = 0 (0.0**0 = 1) it is |01> + |10>, the exact limit.  The trace
+    before normalization is P_herald S^2 / chi, S = sum_{k <= n_max} chi^k;
+    an eta below 2**-54 rounds it to 0, a ParamError.
     """
     d = n_max + 1
-    if chi > 0.0:
-        weights = np.array([chi ** n for n in range(d)])
-        c = np.sqrt(weights / weights.sum())
-        psi = np.outer(c, c).ravel()
-    else:
-        psi = np.zeros(d * d)
-        psi[[1, d]] = 1.0
+    i_plus_j = np.add.outer(np.arange(d), np.arange(d)).ravel()
+    psi = chi ** (np.maximum(i_plus_j - 1, 0) / 2.0) * (i_plus_j > 0)
     click = np.repeat(_click_effects(d, eta, 0.0)[True], d)
     m_t = _swap_layout((click @ _mixer_projectors(d)).reshape(d * d, d * d), d)
     rho = np.outer(psi, psi) * m_t
     p_herald = float(np.real(np.trace(rho)))
     if p_herald <= 1e-300:
-        raise ValueError("herald click has zero probability")
+        raise ParamError(f"herald click has zero probability at chi={chi!r}, eta={eta!r}")
     rho = rho / p_herald
     return _read_only(rho), _read_only(_swap_layout(rho, d))
 

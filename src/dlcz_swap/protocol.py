@@ -37,10 +37,9 @@ gives bit-identical outcomes for any CHUNK_TRIALS, and the same seed gives
 the same outcomes under one numpy version.
 
 Each uniform is the double Generator.random() makes of one 64-bit Philox
-word w, u = (w >> 11) * 2**-53.  run_batch decides u < p on the raw word
-instead, as w < ceil(p * 2**53) * 2**11, which holds for exactly the same
-words; only the fringe and counting uniforms of swap-click trials are
-converted to doubles.
+word w, u = (w >> 11) * 2**-53, which is exact; run_batch decides u < p on
+it directly.  Only the fringe and counting words of swap-click trials are
+converted.
 """
 
 from __future__ import annotations
@@ -75,25 +74,10 @@ __all__ = [
 # chunking (module docstring).
 CHUNK_TRIALS = 16_384
 
-_TWO_53 = float(2 ** 53)  # Generator.random() keeps the top 53 bits of a word
-
-def _below(words: np.ndarray, p: float) -> np.ndarray:
-    """Where the uniform (w >> 11) * 2**-53 of each raw word w is < p.
-
-    That holds exactly when w < ceil(p * 2**53) << 11.  The two ends are
-    explicit: no uniform is below p <= 0 (or NaN), and every one is below
-    p >= 1, where ceil(p * 2**53) >= 2**53 and the shift would overflow.
-    """
-    if not p > 0.0:
-        return np.zeros(words.shape, dtype=bool)
-    if p >= 1.0:
-        return np.ones(words.shape, dtype=bool)
-    return words < np.uint64(math.ceil(p * _TWO_53) << 11)
-
-
 def _uniforms(words: np.ndarray) -> np.ndarray:
-    """The doubles Generator.random() makes of raw Philox words."""
-    return (words >> np.uint64(11)) * (1.0 / _TWO_53)
+    """The doubles Generator.random() makes of raw Philox words: the top 53
+    bits of each word times 2**-53, exact."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
 
 def _check_int(value, name: str, lo: int = 0, stop: float = 2 ** 64) -> int:
@@ -275,9 +259,9 @@ def run_batch(params: ExperimentParams, n_trials: int,
     interference stream (module docstring).  Neither depends on
     CHUNK_TRIALS, so the outcomes are bit-identical for any chunking.
 
-    Per chunk of CHUNK_TRIALS trials, each trial's herald word is compared
+    Per chunk of CHUNK_TRIALS trials, each trial's herald uniform is compared
     against the cumulative bounds of the herald categories (_herald_bounds):
-    counting the words below each bound gives the herald counters, and
+    counting the uniforms below each bound gives the herald counters, and
     flatnonzero the routed trials.  The routed trials then draw their
     interference words in blocks of at most CHUNK_TRIALS; only swap-click
     trials turn their fringe and counting words into uniforms for the table
@@ -301,15 +285,9 @@ def run_batch(params: ExperimentParams, n_trials: int,
     n_by_theta[:r] += 1
     ff_by_theta = np.zeros(n_th, dtype=np.int64)
     counting_counts = np.zeros(4, dtype=np.int64)
-    if analytic.single_mode_herald_probability(params) > 0:
-        tables = conditional_tables(params, thetas)
-        fringe_cut = tables.fringe_cdf[:, :3]  # outcome = #boundaries <= u
-        counting_cut = tables.counting_cdf[:3]
-        p_swap1 = tables.p_swap1
-    else:  # no trial can reach the swap without heralds
-        fringe_cut = np.zeros((n_th, 3))
-        counting_cut = np.zeros(3)
-        p_swap1 = 0.0
+    tables = conditional_tables(params, thetas)
+    fringe_cut = tables.fringe_cdf[:, :3]  # outcome = #boundaries <= u
+    counting_cut = tables.counting_cdf[:3]
 
     # Both streams are read in order: one herald word per trial, then three
     # interference words per routed trial.
@@ -317,13 +295,13 @@ def run_batch(params: ExperimentParams, n_trials: int,
     herald_gen = np.random.Philox(key=np.array([seed, stream_offset], dtype=np.uint64))
     routed_chunks = []
     for lo in range(0, n_trials, CHUNK_TRIALS):
-        words = herald_gen.random_raw(min(CHUNK_TRIALS, n_trials - lo))
-        routed_chunks.append(lo + np.flatnonzero(_below(words, p_common)))
-        n_both = int(np.count_nonzero(_below(words, p_both)))
-        n_a = int(np.count_nonzero(_below(words, p_a)))
+        u = _uniforms(herald_gen.random_raw(min(CHUNK_TRIALS, n_trials - lo)))
+        routed_chunks.append(lo + np.flatnonzero(u < p_common))
+        n_both = int(np.count_nonzero(u < p_both))
+        n_a = int(np.count_nonzero(u < p_a))
         counters["n_eg"] += n_both
         counters["n_eg_ab1"] += n_a
-        counters["n_eg_b2c"] += n_both + int(np.count_nonzero(_below(words, p_any))) - n_a
+        counters["n_eg_b2c"] += n_both + int(np.count_nonzero(u < p_any)) - n_a
     routed_all = np.concatenate(routed_chunks)
     counters["n_routed"] = routed_all.size
 
@@ -332,7 +310,7 @@ def run_batch(params: ExperimentParams, n_trials: int,
     for start in range(0, routed_all.size, CHUNK_TRIALS):
         routed = routed_all[start:start + CHUNK_TRIALS]
         ui = interference_gen.random_raw(3 * routed.size).reshape(-1, 3)
-        swap = _below(ui[:, 0], p_swap1)
+        swap = _uniforms(ui[:, 0]) < tables.p_swap1
         sel, ui = routed[swap], ui[swap]
         counters["n_es"] += sel.size
 
@@ -399,24 +377,22 @@ def _assemble(params, n_trials, counters, thetas, n_by_theta, ff_by_theta,
         if cov_fit is not None:
             flags.append("fringe-offset-nonpositive")
 
-    # C ~ p_c*(V - sqrt(h)); fringe and counting arms are independent
+    # C = p_c*(V - sqrt(h)); fringe and counting arms are independent, and a
+    # finite h needs swap clicks, so the counting covariance cov_c exists
     if not (math.isnan(v) or math.isnan(h)):
+        c_raw = analytic.concurrence(p_c, v, h)
         root_h = math.sqrt(h)
-        c_raw = p_c * (v - root_h)
-        var_c = (p_c * v_se) ** 2
-        if cov_c is not None:
-            if h > 0:
-                g = np.array([
-                    -p_c / (2.0 * root_h) / (p10 * p01),
-                    (v - root_h) + p_c * root_h / (2.0 * p10),
-                    (v - root_h) + p_c * root_h / (2.0 * p01),
-                    0.0,
-                ])
-            else:
-                g = np.array([0.0, v, v, 0.0])
-                flags.append("h-zero-gradient")
-            var_c += max(g @ cov_c @ g, 0.0)
-        c_se = math.sqrt(var_c)
+        if h > 0:
+            g = np.array([
+                -p_c / (2.0 * root_h) / (p10 * p01),
+                (v - root_h) + p_c * root_h / (2.0 * p10),
+                (v - root_h) + p_c * root_h / (2.0 * p01),
+                0.0,
+            ])
+        else:
+            g = np.array([0.0, v, v, 0.0])
+            flags.append("h-zero-gradient")
+        c_se = math.sqrt((p_c * v_se) ** 2 + max(g @ cov_c @ g, 0.0))
     else:
         c_raw = float("nan")
         c_se = float("nan")

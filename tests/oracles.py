@@ -9,8 +9,8 @@
   eigenvalue problem); the engine reads the concurrence of its X-state
   block in closed form and must agree to rounding.
 * The scalar trial loop: one protocol repetition from its per-trial doubles.
-  run_batch decides the same draws on raw Philox words, chunk by chunk, and
-  must give the same counts.
+  run_batch makes the same doubles from raw Philox words, chunk by chunk,
+  and must give the same counts.
 * The per-mode herald stage: 2m Bernoulli modes per trial, reduced to the
   herald category.  run_batch draws the category from one word per trial,
   and must match it in distribution.

@@ -16,7 +16,6 @@ from scipy import optimize
 from dlcz_swap import analytic
 from dlcz_swap.analytic import (
     ClampedVisibilityWarning,
-    ConcurrenceInputs,
     CorrelationPair,
     coincidence_probability,
     concurrence,
@@ -160,21 +159,21 @@ def test_suppression_limits():
 
 
 def test_concurrence_forms():
-    inp = ConcurrenceInputs(p10=0.3, p01=0.3, p11=0.01, p00=0.39,
-                            v=0.9, p_c=0.6, h=0.1)
-    exact = concurrence(inp, form="exact")
-    # ((p10+p01)*V - 2*sqrt(p00*p11)) / P with P = sum p_ij
-    expected = (0.6 * 0.9 - 2.0 * math.sqrt(0.39 * 0.01)) / 1.0
-    assert exact == pytest.approx(expected, rel=1e-12)
-    approx = concurrence(inp, form="approx")
-    assert approx == pytest.approx(0.6 * (0.9 - math.sqrt(0.1)), rel=1e-12)
+    # the detected bound C = p_c (V - sqrt(h)): 0.6 (0.9 - 0.316227766...)
+    assert concurrence(0.6, 0.9, 0.1) == pytest.approx(0.35026334038989726, rel=1e-12)
+    assert concurrence(0.3, 0.9, 0.1) == pytest.approx(0.6 * (0.9 - math.sqrt(0.1)) / 2,
+                                                       rel=1e-12)
+    assert concurrence(0.6, 0.9, 0.0) == pytest.approx(0.54, rel=1e-12)
+    with pytest.raises(ValueError):
+        concurrence(0.6, 0.9, -0.1)
 
 
 def test_concurrence_clamps_to_zero():
-    inp = ConcurrenceInputs(p10=0.1, p01=0.1, p11=0.2, p00=0.6,
-                            v=0.1, p_c=0.2, h=0.9)
-    assert concurrence(inp, form="exact") == 0.0
-    assert concurrence(inp, form="approx") == 0.0
+    # below the threshold the bound is negative and stays so, which keeps
+    # zero crossings visible; clamping to 0 is left to the caller
+    c = concurrence(0.2, 0.1, 0.9)
+    assert c == pytest.approx(0.2 * (0.1 - math.sqrt(0.9)), rel=1e-12)
+    assert c < 0.0
 
 
 def _margin(g_b, g_ac, form):

@@ -335,6 +335,7 @@ BOUNDARY_POINTS = {
     "tau0_1": ["tau0_us=1"], "tau0_1_t2_62": ["tau0_us=1", "t1_us=60", "t2_us=62"],
     "t2_1000": ["t2_us=1000"], "m1": ["m_modes=1"], "m40": ["m_modes=40"],
     "no_background": ["z_b=0", "z_ac=0", "xi_se=0"],
+    "eta1e-200": ["eta=1e-200"], "chi1e-300": ["chi=1e-300"], "dt70": ["t2_us=70"],
 }
 BOUNDARY_COMMANDS = {
     "analytic": ["analytic"], "simulate": ["simulate"], "fig2": ["figures", "fig2"],
@@ -354,6 +355,28 @@ def test_boundary_points_never_crash(tmp_path, capsys, command, point):
     assert code in (0, 2)
     if code == 2:
         assert "parameter error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("figure", ["fig2", "fig3"])
+def test_empty_figure_axis_exits_2(tmp_path, capsys, figure):
+    # delta_t = 70 us lies beyond the figures' 62 us axis end: no series
+    # may be written with no rows
+    code = cli.main(["figures", figure, "--trials", "2000", "--out", str(tmp_path),
+                     "--set", "t2_us=70"])
+    assert code == 2
+    assert "delta_t=70.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("chi", ["0", "0.01"])
+def test_herald_below_rounding_exits_2(tmp_path, capsys, chi):
+    # at eta < 2**-54, 1 - (1 - eta)**n rounds to 0: the herald has no
+    # probability left, whatever chi is
+    code = cli.main(["simulate", "--trials", "2000", "--out", str(tmp_path),
+                     "--set", f"chi={chi}", "--set", "eta=1e-200"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "parameter error" in err and "eta=1e-200" in err and f"chi={float(chi)!r}" in err
 
 
 def test_validate_writes_report(tmp_path):

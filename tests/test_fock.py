@@ -614,7 +614,7 @@ ORACLE_NAMES = (
 
 def test_replaced_paths_live_only_in_the_oracle():
     # one code path per layer: the pipeline pulls effects back and run_batch
-    # decides raw words; the paths they replaced are test references only
+    # samples whole chunks; the paths they replaced are test references only
     for name in ORACLE_NAMES:
         assert hasattr(oracles, name), name
         for module in (dlcz_swap, fock, protocol):
@@ -745,6 +745,23 @@ def test_chi_zero_is_the_noise_free_limit(defaults):
         params = with_overrides(defaults, chi=0.0)
         got = heralded_spin_state(params, n_max=n_max).rho
         assert np.abs(got - _oracle_spins(params, n_max).rho).max() <= 1e-15
+
+
+@pytest.mark.parametrize("chi", [1e-300, 1e-200, 1e-20])
+def test_chi_to_zero_is_continuous(defaults, chi):
+    # chi = 0 is an ordinary point of the link: every report field is
+    # reached continuously, down to chi = 1e-300, where the herald
+    # probability (order chi) is itself below 1e-300
+    want = swap_pipeline(with_overrides(defaults, chi=0.0))
+    got = swap_pipeline(with_overrides(defaults, chi=chi))
+    for field in dataclasses.fields(fock.SwapReport):
+        have, ref = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "rho_ac":
+            have, ref = have.rho, ref.rho
+        elif field.name == "p_ij_spin":
+            assert have.keys() == ref.keys()
+            have, ref = list(have.values()), list(ref.values())
+        assert np.abs(np.asarray(have) - np.asarray(ref)).max() <= 1e-12, field.name
 
 
 def _flip_link_signs(spins):

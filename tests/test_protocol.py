@@ -159,8 +159,7 @@ def test_batch_equals_scalar_loop(boosted, monkeypatch, m, overrides):
     grid = default_theta_grid(4)
     batch = run_batch(params, n, theta_grid=grid, seed=17)
 
-    # chi=0 never routes a trial, and the heralded engine state is undefined there
-    tables = conditional_tables(params, tuple(grid)) if params.chi > 0 else None
+    tables = conditional_tables(params, tuple(grid))
     counters = dict(n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=0, n_es=0,
                     fourfold=0)
     counting = np.zeros(4, dtype=int)
@@ -192,6 +191,18 @@ def test_batch_equals_scalar_loop(boosted, monkeypatch, m, overrides):
         assert batch.n_es > 0  # the swap-click path was exercised
 
 
+def test_chi_zero_batch_builds_its_tables_once(defaults):
+    # chi = 0 is an ordinary point: its batches read the noise-free link's
+    # tables like any other, built once, and no trial heralds or routes
+    params = with_overrides(defaults, chi=0.0)
+    protocol._tables_cached.cache_clear()
+    batches = [run_batch(params, 50_000, seed=seed) for seed in (4, 5)]
+    info = protocol._tables_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for stats in batches:
+        assert stats.n_eg_ab1 == stats.n_eg_b2c == stats.n_routed == stats.n_es == 0
+
+
 def test_chunking_invariance(boosted, monkeypatch):
     # the shipped CHUNK_TRIALS splits n too; 137 and 7_919 do not divide it
     blobs = []
@@ -207,8 +218,9 @@ P_EDGES = (0.0, 5e-324, 0.5, math.nextafter(0.5, 0.0), 1.0 - 2.0 ** -53, 1.0, 1.
 
 @pytest.mark.parametrize("p", P_EDGES)
 def test_raw_word_threshold_matches_doubles(p):
-    # u < p decided on the raw word must agree with the double
-    # Generator.random() makes of it, (w >> 11) * 2**-53, at the boundaries
+    # u < p decided on the converted words must agree with the scalar
+    # double of each word, (w >> 11) * 2**-53, at the boundaries, where
+    # w < ceil(p * 2**53) << 11 changes sides
     ks = {1, 2, 2 ** 52, 2 ** 53 - 1, 2 ** 53}
     if 0.0 < p < 1.0:
         ks.add(math.ceil(p * 2.0 ** 53))
@@ -217,7 +229,7 @@ def test_raw_word_threshold_matches_doubles(p):
         words.update(((k << 11) - 1, k << 11, ((k - 1) << 11) | 0x7FF,
                       (k << 11) + 1))
     words = sorted(w for w in words if 0 <= w < 2 ** 64)
-    got = protocol._below(np.array(words, dtype=np.uint64), p)
+    got = protocol._uniforms(np.array(words, dtype=np.uint64)) < p
     want = [(w >> 11) * 2.0 ** -53 < p for w in words]
     assert got.tolist() == want
 
@@ -226,8 +238,6 @@ def test_raw_words_convert_like_generator():
     raw = np.random.Philox(key=[91, 4]).random_raw(4096)
     doubles = np.random.Generator(np.random.Philox(key=[91, 4])).random(4096)
     assert np.array_equal(protocol._uniforms(raw), doubles)
-    for p in (0.08, 0.33788659793814435, 0.9):
-        assert np.array_equal(protocol._below(raw, p), doubles < p)
 
 
 def test_run_batch_builds_one_generator_per_stream(defaults, monkeypatch):
@@ -274,7 +284,8 @@ def test_herald_draws_stay_within_the_1mb_block(boosted, monkeypatch):
     assert len(interference) == 2  # m = 200 routes more than CHUNK_TRIALS
 
 
-# The category table over a seeded grid, with the edges chi = 0, p1 = 1,
+# The category table over a seeded grid, with the edges chi = 0, the top
+# p1 = chi * eta of the parameter box (chi = nextafter(1, 0), eta = 1),
 # m = 1 and m = 1000 added
 _rng = np.random.default_rng(29)
 TABLE_GRID = [(float(chi), float(eta), int(m)) for chi, eta, m in zip(
@@ -282,7 +293,8 @@ TABLE_GRID = [(float(chi), float(eta), int(m)) for chi, eta, m in zip(
     _rng.uniform(0.05, 1.0, 12),
     _rng.choice([1, 2, 3, 12, 32, 200, 1000], 12))]
 TABLE_GRID += [(0.0, 0.5, 3), (0.0, 1.0, 1000), (0.1, 0.8, 1), (0.3, 1.0, 1),
-               (0.01, 0.5, 1000), (0.5, 0.8, 1000), (1.0, 1.0, 1), (1.0, 1.0, 3)]
+               (0.01, 0.5, 1000), (0.5, 0.8, 1000),
+               (math.nextafter(1.0, 0.0), 1.0, 1), (math.nextafter(1.0, 0.0), 1.0, 3)]
 
 
 def _exact_table(p1, m):
@@ -294,8 +306,8 @@ def _exact_table(p1, m):
 
 @pytest.mark.parametrize("chi, eta, m", TABLE_GRID)
 def test_herald_category_table(defaults, monkeypatch, chi, eta, m):
-    # p1 = chi * eta; p1 = 1 lies outside the parameter box (chi < 1), so the
-    # herald probability is patched in at every point
+    # p1 = chi * eta, patched in at every point so the params below need
+    # not carry chi itself
     params = with_overrides(defaults, chi=min(chi, 0.5), eta=eta, m_modes=m)
     p1 = chi * eta
     monkeypatch.setattr(protocol.analytic, "single_mode_herald_probability",
@@ -581,12 +593,13 @@ FRINGE_TRIALS = [2500, 2500, 2500, 2500]
 FRINGES = {"peak-0": [61, 33, 9, 30], "peak-pi": [9, 30, 61, 33]}
 
 
-def _assemble_hand_made(params, fourfold):
-    counting = np.array(COUNTING)
+def _assemble_hand_made(params, fourfold, counting=COUNTING, thetas=FRINGE_THETAS,
+                        trials=FRINGE_TRIALS):
+    counting = np.array(counting)
     counters = dict(n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=N_ROUTED,
                     n_es=int(counting.sum()), fourfold=sum(fourfold))
-    return protocol._assemble(params, 10_000, counters, np.array(FRINGE_THETAS),
-                              np.array(FRINGE_TRIALS), np.array(fourfold), counting, 0, 0)
+    return protocol._assemble(params, 10_000, counters, np.array(thetas),
+                              np.array(trials), np.array(fourfold), counting, 0, 0)
 
 
 def _fringe_fit(fourfold):
@@ -627,6 +640,7 @@ def test_assemble_estimators_exact(defaults, fourfold):
     for key, value in want.items():
         assert getattr(stats, key) == pytest.approx(value, rel=1e-12, abs=1e-12), key
     assert stats.concurrence == max(0.0, stats.concurrence_raw) > 0.0
+    assert stats.concurrence_raw == protocol.analytic.concurrence(stats.p_c, stats.v, stats.h)
     assert not stats.insufficient and stats.flags == ()
 
 
@@ -655,3 +669,48 @@ def test_assemble_standard_errors_match_finite_differences(defaults, fourfold):
     a, b, cov_fit = _fringe_fit(fourfold)
     v_se = _fd_se(lambda ab: abs(ab[1]) / ab[0], np.array([a, b]), cov_fit)
     assert stats.v_se == pytest.approx(v_se, rel=1e-6)
+
+
+# The boundary paths of _assemble, on the hand-made counts with one change
+# each: (change, flag, the estimates that are NaN there).  A negative offset
+# comes from two fringe points, where the fit is exact: A + B = 0.2 and
+# A + B/2 = 0.05 give A = -0.1.
+_NO_COUNTING = ("p11", "p11_se", "p10", "p10_se", "p01", "p01_se", "p00", "p00_se",
+                "p_c", "p_c_se")
+_NO_H = ("h", "h_se")
+_NO_V = ("v", "v_se")
+_NO_C = ("concurrence", "concurrence_raw", "concurrence_se")
+_NO_FIT = ("fit_offset", "fit_amplitude")
+ASSEMBLE_BOUNDARIES = {
+    "n_es-zero": (dict(counting=[0, 0, 0, 0]), "no-swap-clicks",
+                  _NO_COUNTING + _NO_H + _NO_C),
+    "p10-zero": (dict(counting=[8, 0, 127, 357]), "h-zero-denominator", _NO_H + _NO_C),
+    "p01-zero": (dict(counting=[8, 120, 0, 357]), "h-zero-denominator", _NO_H + _NO_C),
+    "h-zero": (dict(counting=[0, 120, 127, 357]), "h-zero-gradient", ()),
+    "offset-zero": (dict(fourfold=[0, 0, 0, 0]), "fringe-offset-nonpositive", _NO_V + _NO_C),
+    "offset-negative": (dict(fourfold=[200, 50], thetas=[0.0, math.pi / 3],
+                             trials=[1000, 1000]),
+                        "fringe-offset-nonpositive", _NO_V + _NO_C),
+    "one-theta-bin": (dict(fourfold=[61, 0, 0, 0], trials=[2500, 0, 0, 0]),
+                      "fringe-underdetermined", _NO_FIT + _NO_V + _NO_C),
+}
+ESTIMATES = _NO_COUNTING + _NO_H + _NO_V + _NO_C + _NO_FIT + ("p_es", "p_es_se")
+
+
+@pytest.mark.parametrize("change, flag, nan_fields", ASSEMBLE_BOUNDARIES.values(),
+                         ids=ASSEMBLE_BOUNDARIES.keys())
+def test_assemble_boundary_paths(defaults, change, flag, nan_fields):
+    change = dict(change)
+    stats = _assemble_hand_made(defaults, change.pop("fourfold", FRINGES["peak-0"]),
+                                **change)
+    assert flag in stats.flags
+    got_nan = {name for name in ESTIMATES if math.isnan(getattr(stats, name))}
+    assert got_nan == set(nan_fields)
+    assert stats.insufficient == bool({"h", "v"} & got_nan)
+    assert ("insufficient-statistics" in stats.flags) == stats.insufficient
+    if flag == "fringe-offset-nonpositive":
+        assert stats.fit_offset <= 0.0
+    if not math.isnan(stats.concurrence_raw):
+        assert stats.concurrence_raw == protocol.analytic.concurrence(
+            stats.p_c, stats.v, stats.h)
+        assert stats.concurrence == max(0.0, stats.concurrence_raw)
