@@ -3,31 +3,29 @@
 Four spin modes (two memory pairs) and their readout modes are modelled
 exactly on a photon-number-truncated Hilbert space: pair sources, beam
 splitters, retrieval as a partial spin-to-light transfer, incoherent channel
-noise, and non-number-resolving click detection.  The swap pipeline
-attaches no optical mode to a spin state and evaluates a parameter point in
-one pass.  The heralded link is a closed form (one Hadamard product) that
-depends on (chi, eta, n_max) alone, so it is cached on that key and a new
+noise, and non-number-resolving click detection.  A parameter point is one
+pass that attaches no optical mode to a spin state.  The heralded link is a
+closed form (one Hadamard product) cached on (chi, eta, n_max), so a new
 storage time reuses it.  The swap click effect is pulled back onto
-(mem_b1, mem_b2) (Heisenberg picture) and contracted directly with the two
-link states.  rho_ac is then forwarded once through both retrievals to the
-readout state R.  From the swap click to the readout, rho_ac and R stay in
-the readout layout [(n n'), (m m')] (_swap_layout), on which retrieval acts
-on one mode at a time, and every table the readout reads is stored per
-cutoff in that layout.  Each click probability contracts R's entries, split
-into the 2 n_max + 1 orders of the mixer phase theta, with the fixed mixer
-projectors, so a parameter point builds nothing larger than a few d^2 x d^2
-matrices (d = n_max + 1) and no cached table holds more than d^6 entries.
-Every stage conserves n_a + n_c (the herald and the swap click are
-number-diagonal behind number-conserving mixers, and retrieval is phase
-covariant), so the {0,1} block of rho_ac is an X state whose one coherence
-is <01|rho|10>, and its Wootters concurrence is the closed form
-2 max(0, |rho_01,10| - sqrt(rho_00 rho_11)).  Retrieval enters through its
-exact binomial amplitudes, so a new storage time needs no matrix
-exponential, and every operator that depends on d alone is built once per
-cutoff.  Distinct multiplexed mode indices never interfere, so one quadruple
-is the whole quantum problem and multiplexing is combinatorial
-(protocol.py).  The Schrödinger-picture reference and the general Wootters
-concurrence the engine is tested against live in the test suite.
+(mem_b1, mem_b2) (Heisenberg picture) and contracted with the two links;
+rho_ac is then forwarded once through both retrievals to the readout state
+R.  rho_ac and R stay in the readout layout [(n n'), (m m')]
+(_swap_layout), on which retrieval acts on one mode at a time, and each
+click probability contracts R's entries, split into the 2 n_max + 1 orders
+of the mixer phase theta, with fixed mixer projectors.  So a point builds
+nothing larger than a few d^2 x d^2 matrices (d = n_max + 1), and the
+tables that depend on the cutoff alone are built once, as one set per
+cutoff (_tables) of at most d^6 entries each.  Everything is real, so the
+engine runs in float64: the 50/50 mixer exp(pi/4 (a b^dag - a^dag b)) is a
+rotation, real orthogonal (Campos, Saleh & Teich, PRA 40, 1371 (1989)),
+retrieval is a real binomial map (so a new storage time needs no matrix
+exponential), and each fringe is a cosine series in theta.  Every stage
+conserves n_a + n_c, so the {0,1} block of rho_ac is an X state whose one
+coherence is <01|rho|10>, and its Wootters concurrence is the closed form
+2 max(0, |rho_01,10| - sqrt(rho_00 rho_11)).  Distinct multiplexed mode
+indices never interfere, so one quadruple is the whole quantum problem and
+multiplexing is combinatorial (protocol.py).  The Schrödinger-picture
+reference and the general Wootters concurrence live in the test suite.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,9 +58,9 @@ __all__ = [
 DEFAULT_N_MAX = 2
 DEFAULT_MAX_ENTRIES = 1_000_000
 
-# Entries kept by each operator cache: the operator caches are keyed on the
-# per-mode dimension d, the link on (chi, eta, n_max) and the fringe phases
-# on (thetas, n_max).
+# Entries kept by each cache: the table sets are keyed on the per-mode
+# dimension d, the link on (chi, eta, n_max), the (mem_a, mem_c) register on
+# (n_max, max_entries) and the fringe cosines on (thetas, n_max).
 OPERATOR_CACHE_SIZE = 64
 
 # Fixed order of the joint (detector 1, detector 2) click outcomes.
@@ -116,8 +114,8 @@ class ModeRegister:
 
 @dataclass(frozen=True, eq=False)
 class FockState:
-    """Density matrix on a ModeRegister (flat index, C-order over modes).
-    == is identity: an array has no single truth value to compare."""
+    """Density matrix on a ModeRegister (flat index, C-order over modes), real
+    in the engine.  == is identity: an array has no single truth value."""
 
     register: ModeRegister
     rho: np.ndarray = field(repr=False)
@@ -129,7 +127,7 @@ class FockState:
             )
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
+        return float(np.trace(self.rho).real)
 
     def validate(self, atol: float = 1e-10) -> None:
         """Assert unit trace, hermiticity and positivity within atol."""
@@ -146,31 +144,30 @@ class FockState:
         """Photon-number distribution of one mode (marginal of the diagonal)."""
         reg = self.register
         axis = reg.axis(label)
-        diag = np.real(np.diag(self.rho)).reshape((reg.dim_per_mode,) * reg.n_modes)
+        diag = np.diag(self.rho).real.reshape((reg.dim_per_mode,) * reg.n_modes)
         return diag.sum(axis=tuple(i for i in range(reg.n_modes) if i != axis))
 
 
 def _lowering(d: int) -> np.ndarray:
-    a = np.zeros((d, d), dtype=np.complex128)
-    for n in range(1, d):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
 
 
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def _mixer(d: int) -> np.ndarray:
     """50/50 mixer on two modes: |10> -> (|10> + |01>) / sqrt(2).
 
-    exp(g) for g = pi/4 (a (x) a^dag - a^dag (x) a).  g is anti-hermitian,
-    so i g is hermitian with eigenpairs (w, v), and exp(g) =
-    v diag(exp(-i w)) v^dag is exactly unitary on the truncated space
-    (Moler & Van Loan, SIAM Rev. 45, 3 (2003)); blocks with total photon
-    number above n_max are redistributed within the truncated basis
-    (documented truncation artifact).
+    exp(g) for g = pi/4 (a (x) a^dag - a^dag (x) a) is real orthogonal, a
+    rotation, since g is real antisymmetric; on blocks with total photon
+    number up to n_max it is the real Wigner d-matrix of the beam splitter
+    (Campos, Saleh & Teich, PRA 40, 1371 (1989)).  Computed as
+    v diag(exp(-i w)) v^dag from the eigenpairs (w, v) of the hermitian i g
+    (Moler & Van Loan, SIAM Rev. 45, 3 (2003)), keeping the real part (the
+    imaginary part is rounding, at most 2.7e-15 for d = 2..9).  Blocks above
+    n_max are redistributed within the truncated basis (documented
+    truncation artifact).  Built once per cutoff, by _tables.
     """
     a = _lowering(d)
     w, v = np.linalg.eigh(1j * math.pi / 4 * (np.kron(a, a.T) - np.kron(a.T, a)))
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -183,28 +180,50 @@ def _swap_layout(m: np.ndarray, d: int) -> np.ndarray:
     """[(n m), (k l)] -> [(n k), (m l)] for an operator on two d-level modes
     (its own inverse): the readout layout, on which the retrieval map s acts
     on one mode at a time.  The trace of an operator is the sum of its
-    readout-layout entries [(n n), (m m)] (_diagonal_index), not the trace of
-    the reshuffled matrix."""
+    readout-layout entries [(n n), (m m)] (_Tables.diagonal), not the trace
+    of the reshuffled matrix."""
     return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _diagonal_index(d: int) -> np.ndarray:
-    """Flat positions, in the readout layout, of the diagonal entries
-    [(n m), (n m)] of a two-mode operator, in the order of its diagonal."""
-    n, m = np.divmod(np.arange(d * d), d)
-    return _read_only((n * d + n) * d * d + m * d + m)
+class _Tables(NamedTuple):
+    """The engine's read-only tables that depend on the cutoff d alone."""
+
+    # T (d^2, d^4): T[i] is U^T |i><i| U (U the real 50/50 mixer) in the
+    # readout layout, so Tr[diag(x) R] behind the mixer is (x @ T) . R'.ravel()
+    # for R' the readout layout of R
+    projectors: np.ndarray
+    port1: np.ndarray         # (d, d^4): T summed over port 2, x @ T1 = np.repeat(x, d) @ T
+    # (3, d^2, d^2): binomial weights and exponents of (1 - gamma) and gamma
+    # of the entries s[(n, k), (o, q)] of _retrieval_adjoint
+    retrieval: np.ndarray
+    # (d^4, 2d - 1): 0/1 map from the readout-layout entries [(n n'), (m m')]
+    # of a (mode 1, mode 2) operator to the order m' - m + n_max of their phase
+    phase_orders: np.ndarray
+    # (d^4, 2d - 1): rho'.ravel() @ F are the phase-order coefficients of the
+    # spin-level fringe P(detector 1 clicks) of rho_ac (readout layout rho'),
+    # which is its own readout state at gamma = eta = 1 and p_extra = 0
+    ideal_fringe: np.ndarray
+    diagonal: np.ndarray      # (d^2,): readout-layout positions of [(n m), (n m)]
 
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _mixer_projectors(d: int) -> np.ndarray:
-    """T[i] = the entries of (U^dag |i><i| U)^T in the readout layout, for the
-    50/50 mixer U.  A diagonal effect E = diag(x) behind the mixer is then
-    (x @ T).reshape(d^2, d^2) = _swap_layout(E^T), and Tr[E R] is
-    (x @ T) . R'.ravel() for R' the readout layout of R."""
+def _tables(d: int) -> _Tables:
+    """The table set of cutoff d (see _Tables), built once per cutoff."""
     u = _mixer(d)
-    m = (u.conj()[:, :, None] * u[:, None, :]).transpose(0, 2, 1)  # (U^dag |i><i| U)^T
-    return m.reshape(d * d, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(d * d, -1)
+    projectors = ((u[:, :, None] * u[:, None, :]).reshape(d * d, d, d, d, d)
+                  .transpose(0, 1, 3, 2, 4).reshape(d * d, -1))
+    port1 = projectors.reshape(d, d, -1).sum(axis=1)
+    n, k, o, q = np.indices((d,) * 4).reshape(4, -1)
+    left = n - o
+    valid = (left == k - q) & (left >= 0)
+    comb = np.array([[math.comb(x, y) for y in range(d)] for x in range(d)], dtype=float)
+    retrieval = np.array([np.sqrt(comb[n, o] * comb[k, q]) * valid, left * valid, (o + q) / 2])
+    # in readout-layout terms (n, k, o, q) are the entry [(n n'), (m m')]
+    phase_orders = (q - o + d - 1)[:, None] == np.arange(2 * d - 1)
+    ideal_click = _click_effects(d, 1.0, 0.0)[True] @ port1
+    tables = (projectors, port1, retrieval.reshape(3, d * d, d * d), phase_orders.astype(float),
+              ideal_click[:, None] * phase_orders, np.flatnonzero((n == k) & (o == q)))
+    return _Tables(*map(_read_only, tables))
 
 
 def _click_effects(d: int, eta: float, p_extra: float) -> dict:
@@ -219,12 +238,7 @@ def _click_effects(d: int, eta: float, p_extra: float) -> dict:
     return {True: 1.0 - dark, False: dark}
 
 
-# ---------------------------------------------------------------------------
-# Swap pipeline: heralded spins -> swap click -> verification
-# ---------------------------------------------------------------------------
-
-SPIN_LABELS = ("mem_a", "mem_b1", "mem_b2", "mem_c")
-
+# -- swap pipeline: heralded spins -> swap click -> verification -------------
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
 def default_theta_grid(n: int = 16) -> tuple[float, ...]:
@@ -244,24 +258,22 @@ def heralded_spin_state(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     single-excitation pair (|10> - |01>)/sqrt(2), the chi -> 0 limit.
     max_entries is the size check of _link_state (a register never built).
     """
+    reg = ModeRegister(("mem_a", "mem_b1", "mem_b2", "mem_c"), n_max, max_entries)
     link, _ = _link_state(params, n_max, max_entries)
-    reg = ModeRegister(SPIN_LABELS, n_max=n_max, max_entries=max_entries)
     return FockState(reg, np.kron(link, link))
 
 
 def _link_state(params: ExperimentParams, n_max: int,
                 max_entries: int) -> tuple[np.ndarray, np.ndarray]:
-    """Density matrix of one link, in the standard layout and in the readout
-    layout, (outer memory, inner memory) = (mem_a, mem_b1) for the left link
-    and (mem_b2, mem_c) for the right one; the links are identical
-    constructions, so one matrix serves both.  The link depends on
-    (chi, eta, n_max) alone, so it comes from a cache keyed on those and a
-    new storage time reuses it.  max_entries is a size check on the
-    four-mode herald register, which is never built; it stays because the
-    benchmark passes max_entries, and goes with its N3_MAX_ENTRIES.
-    """
-    ModeRegister(("mem_a", "mem_b1", "write_1", "write_2"),
-                 n_max=n_max, max_entries=max_entries)
+    """One link (outer memory, inner memory), (standard layout, readout
+    layout), from the cache keyed on (chi, eta, n_max); the links
+    (mem_a, mem_b1) and (mem_b2, mem_c) are identical constructions.
+    max_entries is an arithmetic size check on the four-mode herald register
+    (mem_a, mem_b1, write_1, write_2), which is never built; it stays because
+    the benchmark passes max_entries, and goes with its N3_MAX_ENTRIES."""
+    if (n_max + 1) ** 8 > max_entries:
+        raise DimensionError(f"herald register at n_max={n_max} needs {(n_max + 1) ** 8} "
+                             f"density-matrix entries > cap {max_entries}")
     return _heralded_link(params.chi, params.eta, n_max)
 
 
@@ -271,7 +283,7 @@ def _heralded_link(chi: float, eta: float, n_max: int) -> tuple[np.ndarray, np.n
 
     The write photons mirror the spins in the pair state c (x) c, c_n =
     chi^(n/2), and the click of write_1 behind the 50/50 mixer U gives
-    rho ~ (psi psi^dag) o M^T, M = U^dag (E_click (x) 1) U.  The click never
+    rho ~ (psi psi^T) o M^T, M = U^T (E_click (x) 1) U.  The click never
     fires on the vacuum, so psi = (c (x) c - |00>)/sqrt(chi), psi_ij =
     chi^((i + j - 1)/2) off |00>, gives the same rho at any chi > 0, and at
     chi = 0 (0.0**0 = 1) it is |01> + |10>, the exact limit.  The trace
@@ -281,10 +293,10 @@ def _heralded_link(chi: float, eta: float, n_max: int) -> tuple[np.ndarray, np.n
     d = n_max + 1
     i_plus_j = np.add.outer(np.arange(d), np.arange(d)).ravel()
     psi = chi ** (np.maximum(i_plus_j - 1, 0) / 2.0) * (i_plus_j > 0)
-    click = np.repeat(_click_effects(d, eta, 0.0)[True], d)
-    m_t = _swap_layout((click @ _mixer_projectors(d)).reshape(d * d, d * d), d)
+    click = _click_effects(d, eta, 0.0)[True]
+    m_t = _swap_layout((click @ _tables(d).port1).reshape(d * d, d * d), d)
     rho = np.outer(psi, psi) * m_t
-    p_herald = float(np.real(np.trace(rho)))
+    p_herald = float(np.trace(rho))
     if p_herald <= 1e-300:
         raise ParamError(f"herald click has zero probability at chi={chi!r}, eta={eta!r}")
     rho = rho / p_herald
@@ -292,16 +304,19 @@ def _heralded_link(chi: float, eta: float, n_max: int) -> tuple[np.ndarray, np.n
 
 
 def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
-    """Detection probability from non-interfering light at one detector.
+    """Detection probability from non-interfering light at one detector (_storage)."""
+    return _storage(params, t_us, z)[1]
 
-    Background counts (z) plus spontaneous-emission leakage of unretrieved
-    excitations, chi*(1-gamma(t))*xi_se*f_cav: both are spectrally
-    distinguishable from the retrieved collective mode, so they click the
-    detector without entering the interference.
-    """
+
+def _storage(params: ExperimentParams, t_us: float, z: float) -> tuple[float, float]:
+    """(gamma(t), p_extra) of a readout at storage time t, gamma evaluated
+    once.  p_extra: background counts (z) plus spontaneous-emission leakage
+    of unretrieved excitations, chi*(1-gamma(t))*xi_se*f_cav; both are
+    spectrally distinguishable from the retrieved collective mode, so they
+    click the detector without entering the interference."""
     gamma_t = analytic.retrieval_efficiency(t_us, params)
     leak = params.chi * (1.0 - gamma_t) * params.xi_se * params.f_cav
-    return min(params.eta * (z + leak), 1.0 - 1e-12)
+    return gamma_t, min(params.eta * (z + leak), 1.0 - 1e-12)
 
 
 # -- readout stages ----------------------------------------------------------
@@ -312,19 +327,6 @@ def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
 # spins, Tr[M rho_spins] = Tr[E R], R the readout state rho_spins forwards
 # to.  The swap stage pulls back its one effect (met by two links); the
 # verification forwards its one state (met by eight effects).
-
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _retrieval_tables(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Binomial weights and the exponents of (1 - gamma) (photons left in the
-    spin) and gamma (photons moved out) of the entries s[(n, k), (o, q)] of
-    _retrieval_adjoint."""
-    n, k, o, q = np.indices((d,) * 4).reshape(4, -1)
-    left = n - o
-    valid = (left == k - q) & (left >= 0)
-    comb = np.array([[math.comb(x, y) for y in range(d)] for x in range(d)], dtype=float)
-    tables = (np.sqrt(comb[n, o] * comb[k, q]) * valid, left * valid, (o + q) / 2)
-    return tuple(table.reshape(d * d, d * d) for table in tables)
-
 
 def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     """Adjoint of retrieving one spin (then traced) into its vacuum readout:
@@ -338,8 +340,38 @@ def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     U is exact.  s is real; the forward map is s^T."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma_t must be in [0, 1]")
-    weight, left, moved = _retrieval_tables(d)
+    weight, left, moved = _tables(d).retrieval
     return weight * (1.0 - gamma) ** left * gamma ** moved
+
+
+@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
+def _outer_register(n_max: int, max_entries: int) -> ModeRegister:
+    """The (mem_a, mem_c) register of rho_ac, built once per key."""
+    return ModeRegister(("mem_a", "mem_c"), n_max=n_max, max_entries=max_entries)
+
+
+def _swap_click(params: ExperimentParams, n_max: int,
+                max_entries: int) -> tuple[float, np.ndarray]:
+    """(p_click, rho_ac) of swap_stage, rho_ac in the readout layout
+    [(a a'), (c c')], where the pull-back yields it and _readout reads it."""
+    link, pair = _link_state(params, n_max, max_entries)
+    d = n_max + 1
+    tables = _tables(d)
+    gamma1, extra1 = _storage(params, params.t1_us, params.z_b)
+    click = _click_effects(d, params.eta, extra1)[True]
+    # Constant interferometer offsets are calibrated so the heralded
+    # verification fringe peaks at theta = 0, matching the closed-form
+    # (1 + cos theta)/2: the swap mixer carries no phase.
+    # In the readout layout, [(a a'), (b1 b1')] for the left link, the
+    # partial trace is pair @ M^T @ pair, and M^T = s E^T s^T there.
+    s = _retrieval_adjoint(d, gamma1)
+    m = s @ (click @ tables.port1).reshape(d * d, d * d) @ s.T
+    rho = pair @ m @ pair
+    p_click = float(rho.ravel()[tables.diagonal].sum())
+    if p_click <= 1e-300:  # the readout layout of A (x) C is outer(A, C)
+        t = link.reshape(d, d, d, d)
+        return 0.0, np.outer(np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2))
+    return p_click, rho / p_click
 
 
 def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
@@ -353,45 +385,17 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     Only the click effect on read_b1 is pulled back, through the swap mixer
     and both retrievals, to an operator M on (mem_b1, mem_b2); then
     p_click * rho_ac = Tr_{b1 b2}[M rho_L (x) rho_R], two matmuls on the
-    links' readout layout (both from the link cache, keyed on
-    (chi, eta, n_max)) without forming the four-spin state.  The product is
-    rho_ac in the readout layout [(a a'), (c c')], so p_click is the sum of
-    its [(n n), (m m)] entries; rho_ac is returned in the standard layout.
-    A click of zero probability leaves the state unmeasured: the identity
-    pulls back to the identity, so rho_ac is the product of the two outer
-    marginals.  max_entries is the size check of _link_state (a register
-    never built).
+    links' readout layout (from the link cache) without forming the
+    four-spin state.  The product is rho_ac in the readout layout
+    [(a a'), (c c')], so p_click is the sum of its [(n n), (m m)] entries;
+    rho_ac is returned in the standard layout.  A click of zero probability
+    leaves the state unmeasured: the identity pulls back to the identity, so
+    rho_ac is the product of the two outer marginals.  max_entries is the
+    size check of _link_state (a register never built).
     """
-    link, pair = _link_state(params, n_max, max_entries)
-    reg = ModeRegister(("mem_a", "mem_c"), n_max=n_max, max_entries=max_entries)
-    d = reg.dim_per_mode
-    gamma1 = analytic.retrieval_efficiency(params.t1_us, params)
-    extra1 = detector_extra(params, params.t1_us, params.z_b)
-    click = np.repeat(_click_effects(d, params.eta, extra1)[True], d)
-    # Constant interferometer offsets are calibrated so the heralded
-    # verification fringe peaks at theta = 0, matching the closed-form
-    # (1 + cos theta)/2: the swap mixer carries no phase.
-    # In the readout layout, [(a a'), (b1 b1')] for the left link, the
-    # partial trace is pair @ M^T @ pair, and M^T = s E^T s^T there.
-    s = _retrieval_adjoint(d, gamma1)
-    m = s @ (click @ _mixer_projectors(d)).reshape(d * d, d * d) @ s.T
-    rho = pair @ m @ pair
-    p_click = float(np.real(rho.ravel()[_diagonal_index(d)].sum()))
-    if p_click <= 1e-300:
-        t = link.reshape(d, d, d, d)
-        marginals = np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)
-        return 0.0, FockState(reg, np.kron(*marginals))
-    return p_click, FockState(reg, _swap_layout(rho / p_click, d))
-
-
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _phase_orders(d: int) -> np.ndarray:
-    """0/1 map from the d^4 readout-layout entries [(n n'), (m m')] of a
-    (mode 1, mode 2) operator to the order m' - m + n_max of their mixer
-    phase, one of 2 n_max + 1."""
-    e = np.arange(d ** 4)
-    shift = e % d - e // d % d + d - 1
-    return (shift[:, None] == np.arange(2 * d - 1)).astype(float)
+    reg = _outer_register(n_max, max_entries)
+    p_click, rho = _swap_click(params, n_max, max_entries)
+    return p_click, FockState(reg, _swap_layout(rho, n_max + 1))
 
 
 def _joint_diags(d: int, eta: float, p_extra: float) -> np.ndarray:
@@ -402,49 +406,40 @@ def _joint_diags(d: int, eta: float, p_extra: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _ideal_fringe_map(d: int) -> np.ndarray:
-    """F with rho'.ravel() @ F the phase-order coefficients of the spin-level
-    fringe P(detector 1 clicks), rho' the readout layout of rho_ac: at
-    gamma = eta = 1 and p_extra = 0 the retrieval is the identity and the
-    readout state is rho_ac itself."""
-    detector_1 = _joint_diags(d, 1.0, 0.0)[:2].sum(axis=0)
-    return (detector_1 @ _mixer_projectors(d))[:, None] * _phase_orders(d)
-
-
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _fringe_phases(thetas: tuple[float, ...], n_max: int) -> np.ndarray:
-    """exp(i theta (k - n_max)) for each theta and phase order k (read-only)."""
-    if len(thetas) == 0:
-        raise ParamError("theta grid must be non-empty")
-    return _read_only(np.exp(1j * np.outer(thetas, np.arange(-n_max, n_max + 1))))
+def _fringe_cosines(thetas: tuple[float, ...], n_max: int) -> np.ndarray:
+    """cos(theta (k - n_max)) for each theta and phase order k (read-only)."""
+    if len(thetas) == 0 or not all(map(math.isfinite, thetas)):
+        raise ParamError("theta grid must be non-empty and finite")
+    return _read_only(np.cos(np.outer(thetas, np.arange(-n_max, n_max + 1))))
 
 
 def _readout(rho: np.ndarray, d: int, gamma: float, eta: float, p_extra: float,
-             phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+             cosines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint (detector 1, detector 2) click distributions over JOINT_ORDER
     of the two readouts of rho_ac, given in the readout layout: behind the
-    verification mixer at each theta of phases (fringe, (n_theta, 4)), and
+    verification mixer at each theta of cosines (fringe, (n_theta, 4)), and
     with direct per-channel detection (counting, (4,)).  Both outer memories
     are retrieved (gamma), and each detector has efficiency eta and
     extra-click probability p_extra.
 
     rho_ac is forwarded once through both retrievals to the readout state R
-    on (read_a, read_c), which both arms share; R stays in the readout
-    layout [(a a'), (c c')], where retrieval acts on one mode at a time.
-    The counting arm is the click diagonals against R's diagonal entries.
-    The fringe needs no R per theta: the mixer phase is exp(i theta n) on
-    read_c, so an entry of R whose read_c occupations differ by k picks up
-    exp(i theta k), and each probability is a trig polynomial of degree
-    n_max in theta whose coefficients come from R's entries, split by phase
-    order, contracted with the fixed mixer projectors.
+    on (read_a, read_c), which both arms share, in the readout layout
+    [(a a'), (c c')].  The counting arm is the click diagonals against R's
+    diagonal entries.  The fringe needs no R per theta: the mixer phase is
+    exp(i theta n) on read_c, so an entry of R whose read_c occupations
+    differ by k picks up exp(i theta k), and each probability is a trig
+    polynomial of degree n_max in theta whose coefficients are R's entries,
+    split by phase order, contracted with the mixer projectors.  These are
+    real, so the polynomial, a real probability, is their cosine series.
     """
+    tables = _tables(d)
     diags = _joint_diags(d, eta, p_extra)
     s = _retrieval_adjoint(d, gamma)
     readout = (s.T @ rho @ s).ravel()
     # the phase-order split goes onto R's entries, so no per-cutoff table
     # holds more than the d^6 projector entries
-    coeffs = diags @ (_mixer_projectors(d) @ (readout[:, None] * _phase_orders(d)))
-    return np.real(phases @ coeffs.T), np.real(diags @ readout[_diagonal_index(d)])
+    coeffs = diags @ (tables.projectors @ (readout[:, None] * tables.phase_orders))
+    return cosines @ coeffs.T, diags @ readout[tables.diagonal]
 
 
 @dataclass(frozen=True, eq=False)
@@ -487,29 +482,27 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
                   max_entries: int = DEFAULT_MAX_ENTRIES) -> SwapReport:
     """Full quantum simulation of one heralded swap-and-verify attempt.
 
-    One swap_stage gives p_es1 and rho_ac (the heralded link comes from its
-    cache keyed on (chi, eta, n_max)); rho_ac is then taken to the readout
-    layout once and stays there: it is forwarded once to its readout state
-    for the detected arms (_readout), which the report keeps as the arrays
-    fringe_joint and counting_joint over (thetas, JOINT_ORDER); the ideal
-    (spin-level) fringe is a fixed linear map of it per cutoff, evaluated at
-    every theta; and the spin-level quantities are read from its entries: the
-    {0,1} block of rho_ac is an X state (n_a + n_c is conserved), so its
-    Wootters concurrence is 2 max(0, |rho_01,10| - sqrt(rho_00 rho_11))
-    (Wootters, PRL 80, 2245 (1998); Yu & Eberly, QIC 7, 459 (2007)).  An
-    empty theta grid raises ParamError.
+    One swap click gives p_es1 and rho_ac in the readout layout, where
+    rho_ac stays: it is forwarded once for the detected arms (_readout),
+    kept as fringe_joint and counting_joint over (thetas, JOINT_ORDER); the
+    spin-level fringe is a fixed linear map of it per cutoff; and the
+    spin-level quantities are read from its entries: the {0,1} block is an X
+    state (n_a + n_c is conserved), so its Wootters concurrence is
+    2 max(0, |rho_01,10| - sqrt(rho_00 rho_11)) (Wootters, PRL 80, 2245
+    (1998); Yu & Eberly, QIC 7, 459 (2007)).  An empty theta grid, or one
+    with a non-finite theta, raises ParamError.
     """
     if thetas is None:
         thetas = default_theta_grid()
     thetas = tuple(map(float, thetas))
-    phases = _fringe_phases(thetas, n_max)
-    p_es1, rho_ac = swap_stage(params, n_max, max_entries)
+    cosines = _fringe_cosines(thetas, n_max)
+    reg = _outer_register(n_max, max_entries)
+    p_es1, rho = _swap_click(params, n_max, max_entries)
     d = n_max + 1
-    rho = _swap_layout(rho_ac.rho, d)
+    tables = _tables(d)
 
-    gamma2 = analytic.retrieval_efficiency(params.t2_us, params)
-    extra2 = detector_extra(params, params.t2_us, params.z_ac)
-    fringe, counting = _readout(rho, d, gamma2, params.eta, extra2, phases)
+    gamma2, extra2 = _storage(params, params.t2_us, params.z_ac)
+    fringe, counting = _readout(rho, d, gamma2, params.eta, extra2, cosines)
     p_coinc = 4.0 * p_es1 * (fringe[:, 0] + fringe[:, 1])
     p11, p10, p01, _ = counting.tolist()
     h_det = p11 / (p10 * p01) if p10 > 0 and p01 > 0 else math.inf
@@ -518,9 +511,9 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
     # |n_a n_c> = 00, 01, 10, 11: the diagonals and the one coherence
     # <01|rho|10> of the X state
     entries = rho.ravel()
-    s00, s01, s10, s11 = np.real(entries[_diagonal_index(d)[[0, 1, d, d + 1]]]).tolist()
+    s00, s01, s10, s11 = entries[tables.diagonal[[0, 1, d, d + 1]]].tolist()
     block_total = (s00 + s01) + (s10 + s11)
-    v_spin = _visibility(np.real(phases @ (entries @ _ideal_fringe_map(d))))
+    v_spin = _visibility(cosines @ (entries @ tables.ideal_fringe))
 
     sqrt_s00_s11 = math.sqrt(max(s00 * s11, 0.0))
     c_wootters = (2.0 * max(0.0, abs(rho[1, d]) - sqrt_s00_s11) / block_total
@@ -531,7 +524,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
 
     return SwapReport(
         p_es1=p_es1,
-        rho_ac=rho_ac,
+        rho_ac=FockState(reg, _swap_layout(rho, d)),
         thetas=thetas,
         p_coinc=_read_only(p_coinc),
         fringe_joint=_read_only(fringe),

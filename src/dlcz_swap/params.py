@@ -127,8 +127,13 @@ def with_overrides(params: ExperimentParams, **changes) -> ExperimentParams:
 
 
 def at_t2(params: ExperimentParams, t2_us: float) -> ExperimentParams:
-    """The storage point t2 at the readout spacing of params: t1 = t2 - delta_t."""
-    return with_overrides(params, t1_us=t2_us - params.delta_t_us, t2_us=t2_us)
+    """The storage point t2 at the readout spacing of params: t1 = t2 - delta_t.
+    A t2 so large that t2 - delta_t rounds to t2 is a ParamError."""
+    t1_us = t2_us - params.delta_t_us
+    if t1_us == t2_us:
+        raise ParamError(f"t2_us={t2_us!r}: t1 = t2 - delta_t rounds to t2 at "
+                         f"delta_t_us={params.delta_t_us!r}, so the spacing is lost")
+    return with_overrides(params, t1_us=t1_us, t2_us=t2_us)
 
 
 def _parse_value(key: str, raw: str, lineno: int):

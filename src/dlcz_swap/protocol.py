@@ -232,14 +232,15 @@ def _fringe_fit(thetas: np.ndarray, k: np.ndarray, n: np.ndarray):
     """WLS fit of k/n = A + B cos(theta); returns (A, B, cov, flags)."""
     flags = []
     good = n > 0
-    if good.sum() < 2 or len(np.unique(np.cos(thetas[good]))) < 2:
-        return float("nan"), float("nan"), None, ["fringe-underdetermined"]
     th, kk, nn = thetas[good], k[good], n[good]
+    cos = np.cos(th)
+    if th.size < 2 or not cos.min() < cos.max():
+        return float("nan"), float("nan"), None, ["fringe-underdetermined"]
     r = kk / nn
     # variance smoothing keeps zero-count bins from getting infinite weight
     p_s = (kk + 0.5) / (nn + 1.0)
     w = nn / (p_s * (1.0 - p_s))
-    x = np.column_stack([np.ones_like(th), np.cos(th)])
+    x = np.column_stack([np.ones_like(th), cos])
     xtw = x.T * w
     try:
         cov = np.linalg.inv(xtw @ x)

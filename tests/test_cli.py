@@ -138,11 +138,12 @@ def test_fig3_engine_series_matches_pipeline(tmp_path):
 
 def test_fig3_runs_one_swap_stage_per_point(tmp_path, monkeypatch):
     # the engine series reads the build the MC sweep made at each of the
-    # 11 t2 points, so each point runs one swap stage
+    # 11 t2 points, so each point runs one swap click (swap_stage and
+    # swap_pipeline share it)
     calls = []
-    swap_stage = fock.swap_stage
-    monkeypatch.setattr(fock, "swap_stage",
-                        lambda *args, **kw: calls.append(1) or swap_stage(*args, **kw))
+    swap_click = fock._swap_click
+    monkeypatch.setattr(fock, "_swap_click",
+                        lambda *args, **kw: calls.append(1) or swap_click(*args, **kw))
     protocol._tables_cached.cache_clear()
     assert cli.main(["figures", "fig3", "--out", str(tmp_path), "--format", "json",
                      "--trials", "4000"]) == 0
@@ -237,6 +238,17 @@ def test_sweep_bad_values_exit_2(tmp_path, values):
     assert not (tmp_path / "sweep.json").exists()
 
 
+@pytest.mark.parametrize("t2", ["1e17", "1e300"])
+def test_sweep_t2_beyond_the_spacing_exit_2(tmp_path, capsys, t2):
+    # t1 = t2 - delta_t rounds to t2: the error names delta_t and the
+    # rounding, not the t2 > t1 rule the rounded point would break
+    assert cli.main(["sweep", "--axis", "t2", "--values", t2,
+                     "--trials", "1000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "delta_t_us=2.0" in err and "rounds to t2" in err and "t2_us > t1_us" not in err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_sweep_bad_axis_argparse(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", "--axis", "zeta", "--values", "1",
@@ -323,6 +335,17 @@ def test_cli_import_skips_scipy_optimize(tmp_path, src_env):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_simulate_skips_numpy_ma(tmp_path, src_env):
+    # np.unique imports numpy.ma on numpy 2.4 (about 13 ms of start-up); the
+    # fringe fit tests its cosines with min < max instead
+    code = ("import sys, dlcz_swap.cli as cli\n"
+            "assert cli.main(['simulate', '--trials', '20000', '--out', sys.argv[1]]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma loaded'\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=src_env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Boundary points of ExperimentParams, one override set each: every command

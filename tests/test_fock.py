@@ -54,8 +54,8 @@ def _readout(rho_ac, gamma, eta, p_extra, thetas):
     """fock._readout of a FockState: (fringe (n_theta, 4), counting (4,)),
     both over JOINT_ORDER."""
     d = rho_ac.register.dim_per_mode
-    phases = fock._fringe_phases(tuple(map(float, thetas)), d - 1)
-    return fock._readout(fock._swap_layout(rho_ac.rho, d), d, gamma, eta, p_extra, phases)
+    cosines = fock._fringe_cosines(tuple(map(float, thetas)), d - 1)
+    return fock._readout(fock._swap_layout(rho_ac.rho, d), d, gamma, eta, p_extra, cosines)
 
 
 def _pure(register, occupations):
@@ -473,10 +473,9 @@ def test_entry_cap_applies_to_herald_register(defaults, chi):
 
 
 def test_operator_caches_bounded(defaults):
-    operators = (fock._mixer, fock._mixer_projectors, fock._retrieval_tables,
-                 fock._phase_orders, fock._ideal_fringe_map, fock._diagonal_index)
-    caches = ((oracles._beam_splitter_unitary, oracles._pair_source_unitary) + operators
-              + (fock._heralded_link, fock._fringe_phases, fock.default_theta_grid))
+    engine = (fock._tables, fock._heralded_link, fock._outer_register, fock._fringe_cosines)
+    caches = ((oracles._beam_splitter_unitary, oracles._pair_source_unitary) + engine
+              + (fock.default_theta_grid,))
     for cache in caches:
         cache.cache_clear()
     state = vacuum(ModeRegister(("spin", "light")))
@@ -489,11 +488,15 @@ def test_operator_caches_bounded(defaults):
     for cache in caches:
         assert cache.cache_info().maxsize == fock.OPERATOR_CACHE_SIZE
         assert cache.cache_info().currsize <= fock.OPERATOR_CACHE_SIZE
-    # the engine's operator caches are keyed on the cutoff alone: one entry
-    # per n_max; so are the link (one chi and eta) and the phases (one grid)
-    for cache in operators + (fock._heralded_link, fock._fringe_phases):
+    # one table set per cutoff, one entry per n_max; so are the link (one
+    # chi and eta), the (mem_a, mem_c) register and the cosines (one grid)
+    for cache in engine:
         assert cache.cache_info().currsize == 3
     assert fock.default_theta_grid.cache_info().currsize == 1
+    # one cache to report: no other cache is keyed on the cutoff alone
+    per_cutoff = [f for f in vars(fock).values() if hasattr(f, "cache_info")
+                  and list(inspect.signature(f).parameters) == ["d"]]
+    assert per_cutoff == [fock._tables]
 
 
 def test_link_built_once_per_chi_and_eta(defaults):
@@ -526,19 +529,14 @@ def test_cached_link_is_read_only(defaults):
 def test_per_cutoff_caches_stay_small(defaults):
     # after one n_max = 7 pipeline the engine's caches hold less than 8 MB:
     # the phase-order split is applied to the readout state, so the largest
-    # per-cutoff table is the d^6 mixer projector table (4.2 MB at d = 8)
+    # table is the d^6 float64 mixer projector table (2.1 MB at d = 8)
     d = 8
-    per_cutoff = [f for f in vars(fock).values() if hasattr(f, "cache_info")
-                  and list(inspect.signature(f).parameters) == ["d"]]
-    for cache in per_cutoff:
-        cache.cache_clear()
+    fock._tables.cache_clear()
     swap_pipeline(defaults, n_max=d - 1, max_entries=10 ** 9)
-    held = [f(d) for f in per_cutoff]
-    held += [fock._heralded_link(defaults.chi, defaults.eta, d - 1),
-             fock._fringe_phases(fock.default_theta_grid(), d - 1)]
-    nbytes = sum(a.nbytes for value in held
-                 for a in (value if isinstance(value, tuple) else (value,)))
-    assert nbytes < 8e6
+    held = list(fock._tables(d)) + list(fock._heralded_link(defaults.chi, defaults.eta, d - 1))
+    held.append(fock._fringe_cosines(fock.default_theta_grid(), d - 1))
+    assert not any(np.iscomplexobj(a) for a in held)
+    assert sum(a.nbytes for a in held) < 8e6
 
 
 @pytest.mark.parametrize("d", range(2, 8))
@@ -554,25 +552,28 @@ def test_retrieval_adjoint_matches_expm(d):
 
 @pytest.mark.parametrize("d", range(2, 9))
 def test_mixer_matches_expm(d):
-    # the eigh-built 50/50 mixer against the oracle's matrix exponential of
-    # the same generator, and unitary, to rounding
+    # the eigh-built 50/50 mixer against the oracle's complex matrix
+    # exponential of the same generator: real, and orthogonal, to rounding
     u = fock._mixer(d)
+    assert u.dtype == np.float64
     assert np.abs(u - oracles._beam_splitter_unitary(d, 0.0, math.pi / 4)).max() <= 1e-14
-    assert np.abs(u @ u.conj().T - np.eye(d * d)).max() <= 1e-14
+    assert np.abs(u @ u.T - np.eye(d * d)).max() <= 1e-14
 
 
 def test_new_storage_times_need_no_exponential(defaults, monkeypatch):
-    # a new t2 costs no matrix exponential (the mixer cache gets no miss) and
-    # builds one retrieval map per storage time: t1 for the swap click and
-    # t2 for the detected readout; the spin-level fringe is a cached map, and
-    # a table build is one pipeline
-    maps = []
-    retrieval_adjoint = fock._retrieval_adjoint
+    # a new t2 builds no mixer (the table-set cache gets no miss) and one
+    # retrieval map per storage time: t1 for the swap click and t2 for the
+    # detected readout; the spin-level fringe is a cached map, and a table
+    # build is one pipeline
+    maps, mixers = [], []
+    retrieval_adjoint, mixer = fock._retrieval_adjoint, fock._mixer
     monkeypatch.setattr(fock, "_retrieval_adjoint",
                         lambda *args: maps.append(args[1]) or retrieval_adjoint(*args))
+    monkeypatch.setattr(fock, "_mixer", lambda d: mixers.append(d) or mixer(d))
     protocol._tables_cached.cache_clear()
     swap_pipeline(defaults)
-    mixers = fock._mixer.cache_info()
+    tables = fock._tables.cache_info()
+    mixers.clear()
     for t2 in np.linspace(3.0, 47.0, 20):
         params = at_t2(defaults, float(t2))
         gammas = [params.gamma0 * math.exp(-t / params.tau0_us)
@@ -583,9 +584,10 @@ def test_new_storage_times_need_no_exponential(defaults, monkeypatch):
         maps.clear()
         protocol.conditional_tables(params, fock.default_theta_grid())
         assert maps == pytest.approx(gammas, rel=1e-12)
-    # the mixer cache gains no entry over the fresh t2 points
-    assert fock._mixer.cache_info().currsize == mixers.currsize
-    assert fock._mixer.cache_info().misses == mixers.misses
+    # the table-set cache gains no entry over the fresh t2 points
+    assert mixers == []
+    assert fock._tables.cache_info().currsize == tables.currsize
+    assert fock._tables.cache_info().misses == tables.misses
 
 
 def test_empty_theta_grid_rejected(defaults):
@@ -596,6 +598,19 @@ def test_empty_theta_grid_rejected(defaults):
         swap_pipeline(defaults, thetas=())
     with pytest.raises(ParamError, match="theta grid"):
         _readout(rho_ac, 0.5, defaults.eta, 0.0, ())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_theta_rejected(defaults, bad):
+    # a non-finite theta has no fringe: a ParamError naming the grid, not
+    # NaN joints, a RuntimeWarning or an unnormalized conditional joint
+    grid = [0.0, bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParamError, match="theta grid"):
+            swap_pipeline(defaults, thetas=grid)
+        with pytest.raises(ParamError, match="theta grid"):
+            protocol.run_batch(defaults, 1000, theta_grid=grid)
 
 
 # Names of the Schrödinger-picture toolkit, the scalar trial loop and the
@@ -806,32 +821,39 @@ def test_swap_stage_matches_staged_oracle(defaults, boosted, chi, bell_sign):
             params = with_overrides(params, chi=chi)
         p, rho_ac = swap_stage(params)
         p_ref, rho_ref = _oracle_swap_stage(params, bell_sign)
+        # the oracle evolves complex states: its rho_ac is real to rounding,
+        # an independent check that the engine's float64 states lose nothing
+        assert rho_ac.rho.dtype == np.float64
+        assert np.abs(rho_ref.rho.imag).max() <= 1e-15
         assert abs(p - p_ref) <= ORACLE_TOL
         assert rho_ac.register.labels == rho_ref.register.labels
         assert np.abs(rho_ac.rho - rho_ref.rho).max() <= ORACLE_TOL
 
 
+def _signed_thetas(seed, n):
+    """n random mixer phases on [0, 2 pi) and their negatives."""
+    thetas = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, n)
+    return np.concatenate([thetas, -thetas])
+
+
 @pytest.mark.parametrize("chi", [None, 0.0], ids=["heralded", "ideal"])
 def test_readout_joints_match_staged_oracle(boosted, chi):
+    # rho_ac is real, so its fringe is even in theta; the oracle applies the
+    # complex mixer phase exp(i theta n), so random +-theta check that the
+    # engine's cosine series is that fringe at both signs
     params = boosted if chi is None else with_overrides(boosted, chi=chi)
     _, rho_ac = swap_stage(params)
-    # a phase on mem_c makes rho_ac complex: the real rho_ac has a fringe
-    # symmetric in theta and cannot tell the sign of the mixer phase
-    d = rho_ac.register.dim_per_mode
-    phase = np.exp(0.9j * (np.arange(d * d) % d))
-    twisted = FockState(rho_ac.register, np.outer(phase, phase.conj()) * rho_ac.rho)
     gamma2 = params.gamma0 * math.exp(-params.t2_us / params.tau0_us)
     extra2 = detector_extra(params, params.t2_us, params.z_ac)
-    thetas = np.random.default_rng(17).uniform(0.0, 2.0 * math.pi, 4)
-    for state in (rho_ac, twisted):
-        fringe, counting = _readout(state, gamma2, params.eta, extra2, thetas)
-        for theta, got in zip(thetas, fringe):
-            want = _oracle_readout(state, gamma2, params.eta, extra2, theta)
-            for j, key in enumerate(fock.JOINT_ORDER):
-                assert abs(got[j] - want[key]) <= ORACLE_TOL
-        want = _oracle_readout(state, gamma2, params.eta, extra2)
+    thetas = _signed_thetas(17, 4)
+    fringe, counting = _readout(rho_ac, gamma2, params.eta, extra2, thetas)
+    for theta, got in zip(thetas, fringe):
+        want = _oracle_readout(rho_ac, gamma2, params.eta, extra2, theta)
         for j, key in enumerate(fock.JOINT_ORDER):
-            assert abs(counting[j] - want[key]) <= ORACLE_TOL
+            assert abs(got[j] - want[key]) <= ORACLE_TOL
+    want = _oracle_readout(rho_ac, gamma2, params.eta, extra2)
+    for j, key in enumerate(fock.JOINT_ORDER):
+        assert abs(counting[j] - want[key]) <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("chi", [None, 0.0], ids=["heralded", "ideal"])
@@ -861,23 +883,22 @@ def _ideal_fringe(state, thetas):
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4])
 def test_ideal_fringe_map_matches_readout(defaults, boosted, n_max):
     # the cached spin-level fringe map is the general readout at
-    # gamma = eta = 1 and p_extra = 0, for real and complex rho_ac
+    # gamma = eta = 1 and p_extra = 0, and the oracle's, at random +-theta
     d = n_max + 1
     grid = fock.default_theta_grid()
-    thetas = np.random.default_rng(23).uniform(0.0, 2.0 * math.pi, 5)
-    fringe_map = fock._ideal_fringe_map(d)
-    phase = np.exp(0.9j * (np.arange(d * d) % d))
+    thetas = _signed_thetas(23, 2)
+    fringe_map = fock._tables(d).ideal_fringe
     for params in (defaults, boosted, with_overrides(defaults, chi=0.0)):
         report = swap_pipeline(params, thetas=grid, n_max=n_max)
         want = _ideal_fringe(report.rho_ac, grid)
         assert abs(report.v_spin - (want.max() - want.min()) / (want.max() + want.min())) \
             <= ORACLE_TOL
-        twisted = FockState(report.rho_ac.register,
-                            np.outer(phase, phase.conj()) * report.rho_ac.rho)
-        for state in (report.rho_ac, twisted):
-            entries = fock._swap_layout(state.rho, d).ravel()
-            got = np.real(fock._fringe_phases(tuple(thetas), n_max) @ (entries @ fringe_map))
-            assert np.abs(got - _ideal_fringe(state, thetas)).max() <= ORACLE_TOL
+        entries = fock._swap_layout(report.rho_ac.rho, d).ravel()
+        got = fock._fringe_cosines(tuple(thetas), n_max) @ (entries @ fringe_map)
+        assert np.abs(got - _ideal_fringe(report.rho_ac, thetas)).max() <= ORACLE_TOL
+        for theta, p in zip(thetas[::2], got[::2]):  # one +-theta pair
+            joint = _oracle_readout(report.rho_ac, 1.0, 1.0, 0.0, theta)
+            assert abs(p - joint[(True, True)] - joint[(True, False)]) <= ORACLE_TOL
 
 
 EPS = np.finfo(float).eps
@@ -909,23 +930,27 @@ def test_invariants_over_the_parameter_box(box_points, n_max):
     # negation.  Each bound sits a few ulps above the worst of this scan
     # (n_max 2 and 3): trace 2 eps, -lambda_min 1.9e-30 (another seed
     # reaches 0.8 eps, eigvalsh's rounding at |rho| <= 1), row sums 3.5 eps,
-    # theta mirror eps/4, and p_coinc peaks exactly at theta = 0.  The
+    # and p_coinc peaks exactly at theta = 0.  The fringe is a cosine
+    # series, and cos is even, so the theta mirror is exact.  The
     # hermiticity (4.5e-33) and negative-entry (3.8e-35) residues are
-    # products of two roundings, below eps**2.  p10 = p01 is left out: the
-    # mixer's truncation breaks it by up to a few percent.
+    # products of two roundings, below eps**2.  The engine runs in float64.
+    # p10 = p01 is left out: the mixer's truncation breaks it by up to a few
+    # percent.
     grid = np.array(fock.default_theta_grid())
     worst_locc = -math.inf
     for params in box_points:
         report = swap_pipeline(params, grid, n_max=n_max)
         mirror = swap_pipeline(params, -grid, n_max=n_max)
         rho = report.rho_ac.rho
+        for array in (rho, report.fringe_joint, report.counting_joint):
+            assert array.dtype == np.float64, params
         assert abs(np.trace(rho) - 1.0) <= 4 * EPS, params
         assert np.abs(rho - rho.conj().T).max() <= EPS ** 2, params
         assert np.linalg.eigvalsh(rho).min() >= -4 * EPS, params
         for joint in (report.fringe_joint, mirror.fringe_joint, report.counting_joint):
             assert np.abs(joint.sum(axis=-1) - 1.0).max() <= 6 * EPS, params
             assert joint.min() >= -EPS ** 2, params
-        assert np.abs(report.fringe_joint - mirror.fringe_joint).max() <= EPS, params
+        assert np.array_equal(report.fringe_joint, mirror.fringe_joint), params
         for rep in (report, mirror):
             assert 0.0 <= rep.visibility_fringe <= 1.0, params
         assert report.p_coinc.max() - report.p_coinc[0] <= EPS * report.p_coinc.max(), params

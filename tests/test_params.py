@@ -10,6 +10,7 @@ from dlcz_swap.params import (
     CONFIG_KEYS,
     ExperimentParams,
     ParamError,
+    at_t2,
     experiment_defaults,
     load_params,
     parse_config,
@@ -177,3 +178,13 @@ def test_direct_construction_validates():
         ExperimentParams(eta=1.5)
     with pytest.raises(ParamError):
         ExperimentParams(tau0_us=0.0)
+
+
+def test_at_t2_keeps_the_spacing_or_names_the_rounding():
+    p = experiment_defaults()
+    q = at_t2(p, 40.0)
+    assert (q.t1_us, q.t2_us) == (38.0, 40.0)
+    # once delta_t is at most half an ulp of t2, t2 - delta_t rounds to t2
+    for t2 in (1e17, 1e300, math.inf):
+        with pytest.raises(ParamError, match="delta_t_us=2.0.*spacing is lost"):
+            at_t2(p, t2)
