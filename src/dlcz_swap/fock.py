@@ -344,36 +344,6 @@ def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     return weight * (1.0 - gamma) ** left * gamma ** moved
 
 
-@lru_cache(maxsize=OPERATOR_CACHE_SIZE)
-def _outer_register(n_max: int, max_entries: int) -> ModeRegister:
-    """The (mem_a, mem_c) register of rho_ac, built once per key."""
-    return ModeRegister(("mem_a", "mem_c"), n_max=n_max, max_entries=max_entries)
-
-
-def _swap_click(params: ExperimentParams, n_max: int,
-                max_entries: int) -> tuple[float, np.ndarray]:
-    """(p_click, rho_ac) of swap_stage, rho_ac in the readout layout
-    [(a a'), (c c')], where the pull-back yields it and _readout reads it."""
-    link, pair = _link_state(params, n_max, max_entries)
-    d = n_max + 1
-    tables = _tables(d)
-    gamma1, extra1 = _storage(params, params.t1_us, params.z_b)
-    click = _click_effects(d, params.eta, extra1)[True]
-    # Constant interferometer offsets are calibrated so the heralded
-    # verification fringe peaks at theta = 0, matching the closed-form
-    # (1 + cos theta)/2: the swap mixer carries no phase.
-    # In the readout layout, [(a a'), (b1 b1')] for the left link, the
-    # partial trace is pair @ M^T @ pair, and M^T = s E^T s^T there.
-    s = _retrieval_adjoint(d, gamma1)
-    m = s @ (click @ tables.port1).reshape(d * d, d * d) @ s.T
-    rho = pair @ m @ pair
-    p_click = float(rho.ravel()[tables.diagonal].sum())
-    if p_click <= 1e-300:  # the readout layout of A (x) C is outer(A, C)
-        t = link.reshape(d, d, d, d)
-        return 0.0, np.outer(np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2))
-    return p_click, rho / p_click
-
-
 def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
                max_entries: int = DEFAULT_MAX_ENTRIES) -> tuple[float, FockState]:
     """Retrieval + interference + click of the swap measurement.
@@ -393,9 +363,26 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     rho_ac is the product of the two outer marginals.  max_entries is the
     size check of _link_state (a register never built).
     """
-    reg = _outer_register(n_max, max_entries)
-    p_click, rho = _swap_click(params, n_max, max_entries)
-    return p_click, FockState(reg, _swap_layout(rho, n_max + 1))
+    link, pair = _link_state(params, n_max, max_entries)
+    reg = ModeRegister(("mem_a", "mem_c"), n_max=n_max, max_entries=max_entries)
+    d = reg.dim_per_mode
+    tables = _tables(d)
+    gamma1, extra1 = _storage(params, params.t1_us, params.z_b)
+    click = _click_effects(d, params.eta, extra1)[True]
+    # Constant interferometer offsets are calibrated so the heralded
+    # verification fringe peaks at theta = 0, matching the closed-form
+    # (1 + cos theta)/2: the swap mixer carries no phase.
+    # In the readout layout, [(a a'), (b1 b1')] for the left link, the
+    # partial trace is pair @ M^T @ pair, and M^T = s E^T s^T there.
+    s = _retrieval_adjoint(d, gamma1)
+    m = s @ (click @ tables.port1).reshape(d * d, d * d) @ s.T
+    rho = pair @ m @ pair
+    p_click = float(rho.ravel()[tables.diagonal].sum())
+    if p_click <= 1e-300:
+        t = link.reshape(d, d, d, d)
+        marginals = np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)
+        return 0.0, FockState(reg, np.kron(*marginals))
+    return p_click, FockState(reg, _swap_layout(rho / p_click, d))
 
 
 def _joint_diags(d: int, eta: float, p_extra: float) -> np.ndarray:
@@ -482,24 +469,24 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
                   max_entries: int = DEFAULT_MAX_ENTRIES) -> SwapReport:
     """Full quantum simulation of one heralded swap-and-verify attempt.
 
-    One swap click gives p_es1 and rho_ac in the readout layout, where
-    rho_ac stays: it is forwarded once for the detected arms (_readout),
-    kept as fringe_joint and counting_joint over (thetas, JOINT_ORDER); the
-    spin-level fringe is a fixed linear map of it per cutoff; and the
-    spin-level quantities are read from its entries: the {0,1} block is an X
-    state (n_a + n_c is conserved), so its Wootters concurrence is
-    2 max(0, |rho_01,10| - sqrt(rho_00 rho_11)) (Wootters, PRL 80, 2245
-    (1998); Yu & Eberly, QIC 7, 459 (2007)).  An empty theta grid, or one
-    with a non-finite theta, raises ParamError.
+    One swap_stage gives p_es1 and rho_ac, which is taken to the readout
+    layout once and stays there: it is forwarded once for the detected arms
+    (_readout), kept as fringe_joint and counting_joint over (thetas,
+    JOINT_ORDER); the spin-level fringe is a fixed linear map of it per
+    cutoff; and the spin-level quantities are read from its entries: the
+    {0,1} block is an X state (n_a + n_c is conserved), so its Wootters
+    concurrence is 2 max(0, |rho_01,10| - sqrt(rho_00 rho_11)) (Wootters,
+    PRL 80, 2245 (1998); Yu & Eberly, QIC 7, 459 (2007)).  An empty theta
+    grid, or one with a non-finite theta, raises ParamError.
     """
     if thetas is None:
         thetas = default_theta_grid()
     thetas = tuple(map(float, thetas))
     cosines = _fringe_cosines(thetas, n_max)
-    reg = _outer_register(n_max, max_entries)
-    p_es1, rho = _swap_click(params, n_max, max_entries)
+    p_es1, rho_ac = swap_stage(params, n_max, max_entries)
     d = n_max + 1
     tables = _tables(d)
+    rho = _swap_layout(rho_ac.rho, d)
 
     gamma2, extra2 = _storage(params, params.t2_us, params.z_ac)
     fringe, counting = _readout(rho, d, gamma2, params.eta, extra2, cosines)
@@ -524,7 +511,7 @@ def swap_pipeline(params: ExperimentParams, thetas: Sequence[float] | None = Non
 
     return SwapReport(
         p_es1=p_es1,
-        rho_ac=FockState(reg, _swap_layout(rho, d)),
+        rho_ac=rho_ac,
         thetas=thetas,
         p_coinc=_read_only(p_coinc),
         fringe_joint=_read_only(fringe),

@@ -693,8 +693,8 @@ ASSEMBLE_BOUNDARIES = {
                         "fringe-offset-nonpositive", _NO_V + _NO_C),
     "one-theta-bin": (dict(fourfold=[61, 0, 0, 0], trials=[2500, 0, 0, 0]),
                       "fringe-underdetermined", _NO_FIT + _NO_V + _NO_C),
-    # +-theta share one cosine, so A + B cos(theta) has one point
-    "equal-cosines": (dict(fourfold=[200, 190], thetas=[1.0, -1.0], trials=[1000, 1000]),
+    # a repeated theta has one cosine, so A + B cos(theta) has one point
+    "equal-cosines": (dict(fourfold=[200, 190], thetas=[1.0, 1.0], trials=[1000, 1000]),
                       "fringe-underdetermined", _NO_FIT + _NO_V + _NO_C),
 }
 ESTIMATES = _NO_COUNTING + _NO_H + _NO_V + _NO_C + _NO_FIT + ("p_es", "p_es_se")
