@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 from .params import ExperimentParams, ParamError, at_t2
@@ -25,7 +24,6 @@ from .params import ExperimentParams, ParamError, at_t2
 __all__ = [
     "CorrelationPair",
     "MultiplexedRate",
-    "ClampedVisibilityWarning",
     "retrieval_efficiency",
     "prob_antistokes",
     "cross_correlation",
@@ -41,10 +39,6 @@ __all__ = [
     "multiplexed_eg_probability",
     "swap_pair_probability",
 ]
-
-
-class ClampedVisibilityWarning(UserWarning):
-    """Approximate visibility went negative and was clamped to zero."""
 
 
 @dataclass(frozen=True)
@@ -84,18 +78,23 @@ def retrieval_efficiency(t_us: float, params: ExperimentParams) -> float:
     return params.gamma0 * math.exp(-t_us / params.tau0_us)
 
 
+def _leakage(gamma_t: float, params: ExperimentParams) -> float:
+    """leak(t) = chi*(1-gamma(t))*xi_se*f_cav: spontaneous emission of the
+    unretrieved excitations that reaches a readout channel per read pulse,
+    before detection."""
+    return params.chi * (1.0 - gamma_t) * params.xi_se * params.f_cav
+
+
 def prob_antistokes(t_us: float, z: float, params: ExperimentParams) -> float:
     """Detected anti-Stokes probability per read pulse.
 
     Retrieved signal + leaked spontaneous emission + background, all times
-    detection efficiency:
-    chi*gamma(t)*eta + chi*(1-gamma(t))*xi_se*f_cav*eta + z*eta
+    detection efficiency: chi*gamma(t)*eta + leak(t)*eta + z*eta
     """
     gamma_t = retrieval_efficiency(t_us, params)
-    chi = params.chi
     return (
-        chi * gamma_t * params.eta
-        + chi * (1.0 - gamma_t) * params.xi_se * params.f_cav * params.eta
+        params.chi * gamma_t * params.eta
+        + _leakage(gamma_t, params) * params.eta
         + z * params.eta
     )
 
@@ -107,14 +106,13 @@ def noise_floor(t_us: float, z: float, params: ExperimentParams) -> float:
     incoherent channel noise.
     """
     gamma_t = retrieval_efficiency(t_us, params)
-    chi = params.chi
-    return chi * gamma_t + chi * (1.0 - gamma_t) * params.xi_se * params.f_cav + z
+    return params.chi * gamma_t + _leakage(gamma_t, params) + z
 
 
 def cross_correlation(t_us: float, z: float, params: ExperimentParams) -> float:
     """Signal/noise cross-correlation of one memory readout.
 
-    g = 1 + gamma(t) / (chi*gamma(t) + z + chi*(1-gamma(t))*xi_se*f_cav)
+    g = 1 + gamma(t) / (chi*gamma(t) + z + leak(t))
 
     Detection efficiency cancels.  Returns math.inf in the noiseless limit
     (chi = 0 and z = 0 would zero the denominator); callers must use
@@ -139,19 +137,13 @@ def visibility(corr: CorrelationPair, form: str = "approx", clamp: bool = True) 
     """Fringe visibility of the verification interference.
 
     form="approx": V = 1 - 4/g_b - 4/g_ac   (can go negative at low g;
-    clamped to 0 with a ClampedVisibilityWarning unless clamp=False)
+    clamped to 0 unless clamp=False)
     form="exact":  V = 1 / (1 + 4/(g_ac - 1) + 4/(g_b - 1)), which is 0
     when either g is 1 (the uncorrelated limit) and 1 when both are infinite
     """
     if form == "approx":
         v = 1.0 - 4.0 / corr.g_b - 4.0 / corr.g_ac
-        if v < 0.0 and clamp:
-            warnings.warn(
-                f"approximate visibility {v:.4g} clamped to 0",
-                ClampedVisibilityWarning, stacklevel=2,
-            )
-            return 0.0
-        return v
+        return 0.0 if v < 0.0 and clamp else v
     if form == "exact":
         if corr.g_b == 1.0 or corr.g_ac == 1.0:
             return 0.0

@@ -17,14 +17,13 @@ import json
 import math
 import os
 import sys
-import warnings
 from importlib import resources
 
 import numpy as np
 
 from . import analytic, fock, protocol
 from ._version import __version__
-from .analytic import ClampedVisibilityWarning, CorrelationPair
+from .analytic import CorrelationPair
 from .params import ParamError, at_t2, experiment_defaults, load_params, with_overrides
 from .series import CurveSeries, write_csv, write_json
 
@@ -119,13 +118,9 @@ def _t2_axis(params, step: float) -> np.ndarray:
 def _t2_curve(params, name: str, column: str, form: str, value):
     """Closed-form curve value(corr, form) over t2 at fixed readout spacing."""
     rows = []
-    with warnings.catch_warnings():
-        # the approx form clamping to zero at long storage is its documented
-        # behavior, not something to warn about once per grid point
-        warnings.simplefilter("ignore", ClampedVisibilityWarning)
-        for t2 in _t2_axis(params, 1.0):
-            corr = analytic.correlation_pair(at_t2(params, t2))
-            rows.append((t2, value(corr, form), 0.0))
+    for t2 in _t2_axis(params, 1.0):
+        corr = analytic.correlation_pair(at_t2(params, t2))
+        rows.append((t2, value(corr, form), 0.0))
     return CurveSeries(name, ("t2_us", column, "sigma"), tuple(rows),
                        _meta(params, source="analytic", form=form))
 
@@ -260,9 +255,7 @@ def _stats_curves(stats, params) -> list:
     for j, theta in enumerate(stats.thetas):
         n = int(stats.n_by_theta[j])
         k = int(stats.fourfold_by_theta[j])
-        rate = k / n if n else float("nan")
-        sig = math.sqrt(rate * (1 - rate) / n) if n and 0 <= rate <= 1 else float("nan")
-        fringe_rows.append((theta, rate, sig))
+        fringe_rows.append((theta, k / n if n else float("nan"), protocol._binom_se(k, n)))
     meta = _meta(params, seed=stats.seed, n_trials=stats.n_trials,
                  source="monte-carlo")
     fringe = CurveSeries("fringe_fourfold", ("theta", "rate", "sigma"),
@@ -270,9 +263,8 @@ def _stats_curves(stats, params) -> list:
     count_rows = []
     for j in range(4):
         k = int(stats.counting_counts[j])
-        f = k / stats.n_es if stats.n_es else float("nan")
-        sig = math.sqrt(f * (1 - f) / stats.n_es) if stats.n_es else float("nan")
-        count_rows.append((float(j), f, sig))
+        count_rows.append((float(j), k / stats.n_es if stats.n_es else float("nan"),
+                           protocol._binom_se(k, stats.n_es)))
     counting = CurveSeries("counting_joint", ("outcome_index", "frequency", "sigma"),
                            tuple(count_rows),
                            dict(meta, outcome_order=[list(p) for p in protocol.JOINT_ORDER]))
@@ -422,7 +414,7 @@ def _check_two_photon_interference():
     # one photon in each input of the engine's 50/50 mixer, n_max = 2
     out = np.abs(fock._mixer(3)[:, 4]) ** 2  # photon-number weights of U|1,1>
     p11 = float(out[4])
-    click = fock._click_effects(3, 1.0, 0.0)[True]  # perfect detector
+    click = 1.0 - fock._no_click(3, 1.0, 0.0)  # perfect detector
     joint = float(np.kron(click, click) @ out)
     return (p11 <= 1e-12 and joint <= 1e-12,
             f"P(1,1 after 50/50)={p11:.2e} perfect-detector coincidence={joint:.2e}")
@@ -452,9 +444,7 @@ def _check_clamp_regime():
     low = CorrelationPair(g_b=10.0, g_ac=10.0)
     c_low = analytic.concurrence(0.2, analytic.visibility(low, form="approx", clamp=False),
                                  analytic.suppression(low))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ClampedVisibilityWarning)
-        v5 = analytic.visibility(CorrelationPair(5.0, 5.0), form="approx")
+    v5 = analytic.visibility(CorrelationPair(5.0, 5.0), form="approx")
     return (c_low < 0.0 and v5 == 0.0,
             f"C(g=10)={c_low:.6f} < 0, V_approx(g=5)={v5} (clamps to 0)")
 
@@ -623,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=protocol.SWEEP_AXES, required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--observable", choices=protocol.SWEEP_OBSERVABLES,
-                   default="concurrence")
+                   help="default concurrence; fourfold, the only one, on the theta axis")
     _add_common(p)
     _add_mc(p)
     p.set_defaults(func=cmd_sweep)

@@ -50,7 +50,6 @@ __all__ = [
     "JOINT_ORDER",
     "heralded_spin_state",
     "swap_stage",
-    "detector_extra",
     "swap_pipeline",
     "default_theta_grid",
 ]
@@ -59,8 +58,8 @@ DEFAULT_N_MAX = 2
 DEFAULT_MAX_ENTRIES = 1_000_000
 
 # Entries kept by each cache: the table sets are keyed on the per-mode
-# dimension d, the link on (chi, eta, n_max), the (mem_a, mem_c) register on
-# (n_max, max_entries) and the fringe cosines on (thetas, n_max).
+# dimension d, the link on (chi, eta, n_max), the fringe cosines on
+# (thetas, n_max) and the default theta grids on their size.
 OPERATOR_CACHE_SIZE = 64
 
 # Fixed order of the joint (detector 1, detector 2) click outcomes.
@@ -220,22 +219,17 @@ def _tables(d: int) -> _Tables:
     retrieval = np.array([np.sqrt(comb[n, o] * comb[k, q]) * valid, left * valid, (o + q) / 2])
     # in readout-layout terms (n, k, o, q) are the entry [(n n'), (m m')]
     phase_orders = (q - o + d - 1)[:, None] == np.arange(2 * d - 1)
-    ideal_click = _click_effects(d, 1.0, 0.0)[True] @ port1
+    ideal_click = (1.0 - _no_click(d, 1.0, 0.0)) @ port1
     tables = (projectors, port1, retrieval.reshape(3, d * d, d * d), phase_orders.astype(float),
               ideal_click[:, None] * phase_orders, np.flatnonzero((n == k) & (o == q)))
     return _Tables(*map(_read_only, tables))
 
 
-def _click_effects(d: int, eta: float, p_extra: float) -> dict:
-    """Diagonals of the click (True) and no-click (False) POVM elements on
-    one mode: no click is (1 - p_extra)(1 - eta)^n, p_extra being the
-    detection probability from light outside the interfering mode."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must be in [0, 1]")
-    if not 0.0 <= p_extra < 1.0:
-        raise ValueError("p_extra must be in [0, 1)")
-    dark = (1.0 - p_extra) * (1.0 - eta) ** np.arange(d)
-    return {True: 1.0 - dark, False: dark}
+def _no_click(d: int, eta: float, p_extra: float) -> np.ndarray:
+    """Diagonal of the no-click POVM element on one mode, (1 - p_extra)
+    (1 - eta)^n, p_extra being the detection probability from light outside
+    the interfering mode; the click element is 1 minus it."""
+    return (1.0 - p_extra) * (1.0 - eta) ** np.arange(d)
 
 
 # -- swap pipeline: heralded spins -> swap click -> verification -------------
@@ -293,7 +287,7 @@ def _heralded_link(chi: float, eta: float, n_max: int) -> tuple[np.ndarray, np.n
     d = n_max + 1
     i_plus_j = np.add.outer(np.arange(d), np.arange(d)).ravel()
     psi = chi ** (np.maximum(i_plus_j - 1, 0) / 2.0) * (i_plus_j > 0)
-    click = _click_effects(d, eta, 0.0)[True]
+    click = 1.0 - _no_click(d, eta, 0.0)
     m_t = _swap_layout((click @ _tables(d).port1).reshape(d * d, d * d), d)
     rho = np.outer(psi, psi) * m_t
     p_herald = float(np.trace(rho))
@@ -303,20 +297,14 @@ def _heralded_link(chi: float, eta: float, n_max: int) -> tuple[np.ndarray, np.n
     return _read_only(rho), _read_only(_swap_layout(rho, d))
 
 
-def detector_extra(params: ExperimentParams, t_us: float, z: float) -> float:
-    """Detection probability from non-interfering light at one detector (_storage)."""
-    return _storage(params, t_us, z)[1]
-
-
 def _storage(params: ExperimentParams, t_us: float, z: float) -> tuple[float, float]:
     """(gamma(t), p_extra) of a readout at storage time t, gamma evaluated
     once.  p_extra: background counts (z) plus spontaneous-emission leakage
-    of unretrieved excitations, chi*(1-gamma(t))*xi_se*f_cav; both are
-    spectrally distinguishable from the retrieved collective mode, so they
-    click the detector without entering the interference."""
+    of unretrieved excitations (analytic._leakage); both are spectrally
+    distinguishable from the retrieved collective mode, so they click the
+    detector without entering the interference."""
     gamma_t = analytic.retrieval_efficiency(t_us, params)
-    leak = params.chi * (1.0 - gamma_t) * params.xi_se * params.f_cav
-    return gamma_t, min(params.eta * (z + leak), 1.0 - 1e-12)
+    return gamma_t, min(params.eta * (z + analytic._leakage(gamma_t, params)), 1.0 - 1e-12)
 
 
 # -- readout stages ----------------------------------------------------------
@@ -338,8 +326,6 @@ def _retrieval_adjoint(d: int, gamma: float) -> np.ndarray:
     where a = n - o = k - q >= 0, and 0 elsewhere.  U conserves the photon
     number and a vacuum readout keeps it at n <= n_max, where the truncated
     U is exact.  s is real; the forward map is s^T."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma_t must be in [0, 1]")
     weight, left, moved = _tables(d).retrieval
     return weight * (1.0 - gamma) ** left * gamma ** moved
 
@@ -368,7 +354,7 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
     d = reg.dim_per_mode
     tables = _tables(d)
     gamma1, extra1 = _storage(params, params.t1_us, params.z_b)
-    click = _click_effects(d, params.eta, extra1)[True]
+    click = 1.0 - _no_click(d, params.eta, extra1)
     # Constant interferometer offsets are calibrated so the heralded
     # verification fringe peaks at theta = 0, matching the closed-form
     # (1 + cos theta)/2: the swap mixer carries no phase.
@@ -387,8 +373,8 @@ def swap_stage(params: ExperimentParams, n_max: int = DEFAULT_N_MAX,
 
 def _joint_diags(d: int, eta: float, p_extra: float) -> np.ndarray:
     """diags[j]: the (port 1, port 2) click effect of JOINT_ORDER[j], a diagonal."""
-    port = _click_effects(d, eta, p_extra)
-    ports = np.array([port[True], port[False]])
+    dark = _no_click(d, eta, p_extra)
+    ports = np.array([1.0 - dark, dark])
     return (ports[:, None, :, None] * ports[None, :, None, :]).reshape(4, d * d)
 
 

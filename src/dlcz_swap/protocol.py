@@ -272,12 +272,10 @@ def run_batch(params: ExperimentParams, n_trials: int,
     seed = _check_int(seed, "seed")
     # the interference key word is stream_offset + 1, so it too must fit 64 bits
     stream_offset = _check_int(stream_offset, "stream_offset", 0, 2 ** 64 - 1)
-    if theta_grid is None:
-        theta_grid = fock.default_theta_grid()
-    thetas = np.array([float(t) for t in theta_grid])
-    if thetas.size == 0:
-        raise ParamError("theta_grid must be non-empty")
-
+    # the engine rejects an empty or non-finite grid
+    tables = conditional_tables(
+        params, fock.default_theta_grid() if theta_grid is None else theta_grid)
+    thetas = tables.thetas
     n_th = len(thetas)
     counters = dict(n_eg_ab1=0, n_eg_b2c=0, n_eg=0, n_routed=0, n_es=0,
                     fourfold=0)
@@ -286,7 +284,6 @@ def run_batch(params: ExperimentParams, n_trials: int,
     n_by_theta[:r] += 1
     ff_by_theta = np.zeros(n_th, dtype=np.int64)
     counting_counts = np.zeros(4, dtype=np.int64)
-    tables = conditional_tables(params, thetas)
     fringe_cut = tables.fringe_cdf[:, :3]  # outcome = #boundaries <= u
     counting_cut = tables.counting_cdf[:3]
 
@@ -336,25 +333,23 @@ def _assemble(params, n_trials, counters, thetas, n_by_theta, ff_by_theta,
     p_es = n_es / n_routed if n_routed else float("nan")
     p_es_se = _binom_se(n_es, n_routed)
 
+    # no swap click: a NaN joint and covariance, which every formula below
+    # carries through to NaN
     if n_es > 0:
         pj = counting_counts / n_es
         cov_c = _multinomial_cov(pj, n_es)
-        se_j = np.sqrt(np.clip(np.diag(cov_c), 0.0, None))
     else:
         pj = np.full(4, float("nan"))
-        cov_c = None
-        se_j = np.full(4, float("nan"))
+        cov_c = np.full((4, 4), float("nan"))
         flags.append("no-swap-clicks")
+    se_j = np.sqrt(np.clip(np.diag(cov_c), 0.0, None))
     p11, p10, p01, p00 = pj
 
     p_c = p10 + p01
-    if cov_c is not None:
-        g_pc = np.array([0.0, 1.0, 1.0, 0.0])
-        p_c_se = math.sqrt(max(g_pc @ cov_c @ g_pc, 0.0))
-    else:
-        p_c_se = float("nan")
+    g_pc = np.array([0.0, 1.0, 1.0, 0.0])
+    p_c_se = math.sqrt(max(g_pc @ cov_c @ g_pc, 0.0))
 
-    if n_es > 0 and p10 > 0 and p01 > 0:
+    if p10 > 0 and p01 > 0:
         h = p11 / (p10 * p01)
         g_h = np.array([1.0 / (p10 * p01), -h / p10, -h / p01, 0.0])
         h_se = math.sqrt(max(g_h @ cov_c @ g_h, 0.0))
@@ -364,7 +359,7 @@ def _assemble(params, n_trials, counters, thetas, n_by_theta, ff_by_theta,
         if n_es > 0:
             flags.append("h-zero-denominator")
 
-    a, b, cov_fit, fit_flags = _fringe_fit(thetas, ff_by_theta.astype(float),
+    a, b, cov_fit, fit_flags = _fringe_fit(np.array(thetas), ff_by_theta.astype(float),
                                            n_by_theta.astype(float))
     flags.extend(fit_flags)
     if cov_fit is not None and a > 0:
@@ -378,8 +373,7 @@ def _assemble(params, n_trials, counters, thetas, n_by_theta, ff_by_theta,
         if cov_fit is not None:
             flags.append("fringe-offset-nonpositive")
 
-    # C = p_c*(V - sqrt(h)); fringe and counting arms are independent, and a
-    # finite h needs swap clicks, so the counting covariance cov_c exists
+    # C = p_c*(V - sqrt(h)); fringe and counting arms are independent
     if not (math.isnan(v) or math.isnan(h)):
         c_raw = analytic.concurrence(p_c, v, h)
         root_h = math.sqrt(h)
@@ -410,7 +404,7 @@ def _assemble(params, n_trials, counters, thetas, n_by_theta, ff_by_theta,
         n_routed=n_routed,
         n_es=n_es,
         fourfold=counters["fourfold"],
-        thetas=tuple(float(t) for t in thetas),
+        thetas=thetas,
         n_by_theta=n_by_theta,
         fourfold_by_theta=ff_by_theta,
         counting_counts=counting_counts,
@@ -435,31 +429,20 @@ def _assemble(params, n_trials, counters, thetas, n_by_theta, ff_by_theta,
 
 SWEEP_AXES = ("t2", "m", "chi", "theta")
 
-SWEEP_OBSERVABLES = ("concurrence", "concurrence_clamped", "visibility",
-                     "suppression", "p11", "p_c", "fourfold", "es_rate",
-                     "eg_rate")
+# (value, sigma) of each sweep observable, read from a batch's statistics
+_OBSERVABLES = {
+    "concurrence": lambda s: (s.concurrence_raw, s.concurrence_se),
+    "concurrence_clamped": lambda s: (s.concurrence, s.concurrence_se),
+    "visibility": lambda s: (s.v, s.v_se),
+    "suppression": lambda s: (s.h, s.h_se),
+    "p11": lambda s: (s.p11, s.p11_se),
+    "p_c": lambda s: (s.p_c, s.p_c_se),
+    "fourfold": lambda s: (s.fourfold / s.n_trials, _binom_se(s.fourfold, s.n_trials)),
+    "es_rate": lambda s: (s.n_es / s.n_trials, _binom_se(s.n_es, s.n_trials)),
+    "eg_rate": lambda s: (s.n_eg_ab1 / s.n_trials, _binom_se(s.n_eg_ab1, s.n_trials)),
+}
 
-
-def _observable(stats: SwapStatistics, name: str) -> tuple:
-    if name == "concurrence":
-        return stats.concurrence_raw, stats.concurrence_se
-    if name == "concurrence_clamped":
-        return stats.concurrence, stats.concurrence_se
-    if name == "visibility":
-        return stats.v, stats.v_se
-    if name == "suppression":
-        return stats.h, stats.h_se
-    if name == "p11":
-        return stats.p11, stats.p11_se
-    if name == "p_c":
-        return stats.p_c, stats.p_c_se
-    if name == "fourfold":
-        return stats.fourfold / stats.n_trials, _binom_se(stats.fourfold, stats.n_trials)
-    if name == "es_rate":
-        return stats.n_es / stats.n_trials, _binom_se(stats.n_es, stats.n_trials)
-    if name == "eg_rate":
-        return stats.n_eg_ab1 / stats.n_trials, _binom_se(stats.n_eg_ab1, stats.n_trials)
-    raise ParamError(f"unknown observable {name!r}; choose from {SWEEP_OBSERVABLES}")
+SWEEP_OBSERVABLES = tuple(_OBSERVABLES)
 
 
 def _point_params(params: ExperimentParams, axis: str, value: float) -> ExperimentParams:
@@ -482,20 +465,24 @@ def _point_params(params: ExperimentParams, axis: str, value: float) -> Experime
 
 def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
           n_trials: int, theta_grid: Optional[Sequence[float]] = None,
-          seed: int = 0, observable: str = "concurrence",
+          seed: int = 0, observable: Optional[str] = None,
           name: Optional[str] = None) -> CurveSeries:
     """One run_batch per value, emitted as CurveSeries rows (x, y, sigma).
 
     t2 sweeps keep the readout spacing fixed (t1 = t2 - delta_t).  Each
     point uses its own pair of streams, offset 2*i, so single points can be
     reproduced in isolation.  theta sweeps run each value as a one-point
-    fringe and report the fourfold coincidence rate.
+    fringe and report the fourfold coincidence rate, their only observable;
+    on the other axes observable=None is the concurrence.
     """
     vals = [float(v) for v in values]
     if list(vals) != sorted(vals):
         raise ParamError("sweep values must be sorted ascending")
-    if axis == "theta":
-        observable = "fourfold"
+    if observable is None:
+        observable = "fourfold" if axis == "theta" else "concurrence"
+    choices = ("fourfold",) if axis == "theta" else SWEEP_OBSERVABLES
+    if observable not in choices:
+        raise ParamError(f"observable {observable!r} on the {axis} axis; choose from {choices}")
 
     rows = []
     for i, value in enumerate(vals):
@@ -503,7 +490,7 @@ def sweep(params: ExperimentParams, axis: str, values: Sequence[float],
         grid_i = [value] if axis == "theta" else theta_grid
         stats = run_batch(p_i, n_trials, theta_grid=grid_i, seed=seed,
                           stream_offset=2 * i)
-        rows.append((value, *_observable(stats, observable)))
+        rows.append((value, *_OBSERVABLES[observable](stats)))
 
     return CurveSeries(
         name=name or f"{observable}_vs_{axis}",

@@ -6,7 +6,6 @@ double as regression anchors.
 """
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from scipy import optimize
 
 from dlcz_swap import analytic
 from dlcz_swap.analytic import (
-    ClampedVisibilityWarning,
     CorrelationPair,
     coincidence_probability,
     concurrence,
@@ -116,9 +114,7 @@ def test_visibility_bounds_grid():
     for gb in np.geomspace(1.5, 1e4, 12):
         for gac in np.geomspace(1.5, 1e4, 12):
             corr = CorrelationPair(g_b=gb, g_ac=gac)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ClampedVisibilityWarning)
-                va = visibility(corr, form="approx")
+            va = visibility(corr, form="approx")
             ve = visibility(corr, form="exact")
             assert 0.0 <= va <= 1.0
             assert 0.0 <= ve < 1.0
@@ -142,8 +138,7 @@ def test_uncorrelated_limit(defaults):
 
 def test_visibility_clamp():
     low = CorrelationPair(g_b=5.0, g_ac=5.0)  # 1 - 4/5 - 4/5 < 0
-    with pytest.warns(ClampedVisibilityWarning):
-        assert visibility(low, form="approx") == 0.0
+    assert visibility(low, form="approx") == 0.0
     assert visibility(low, form="approx", clamp=False) == pytest.approx(-0.6)
 
 

@@ -225,6 +225,16 @@ def test_sweep_command(tmp_path, capsys):
     assert "t2=2.0" in capsys.readouterr().out
 
 
+def test_sweep_theta_other_observable_exit_2(tmp_path, capsys):
+    # a theta sweep reports the fourfold rate and nothing else: asking it
+    # for another observable is a usage error, not a fourfold curve
+    assert cli.main(["sweep", "--axis", "theta", "--values", "0,1",
+                     "--observable", "concurrence", "--trials", "1000",
+                     "--out", str(tmp_path)]) == 2
+    assert "fourfold" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
+
+
 def test_sweep_unsorted_values_exit_2(tmp_path):
     assert cli.main(["sweep", "--axis", "t2", "--values", "8,2",
                      "--trials", "1000", "--out", str(tmp_path)]) == 2

@@ -24,7 +24,6 @@ from dlcz_swap.fock import (
     DimensionError,
     FockState,
     ModeRegister,
-    detector_extra,
     heralded_spin_state,
     swap_pipeline,
     swap_stage,
@@ -311,7 +310,7 @@ def test_detector_extra(defaults):
     gamma = defaults.gamma0 * math.exp(-t / defaults.tau0_us)
     leak = defaults.chi * (1.0 - gamma) * defaults.xi_se * defaults.f_cav
     expect = defaults.eta * (defaults.z_ac + leak)
-    assert detector_extra(defaults, t, defaults.z_ac) == pytest.approx(expect, rel=1e-12)
+    assert fock._storage(defaults, t, defaults.z_ac)[1] == pytest.approx(expect, rel=1e-12)
 
 
 # -- swap pipeline ----------------------------------------------------------
@@ -446,7 +445,7 @@ def test_no_click_rate_mixer_invariant(defaults):
     # and identical between the fringe arm and the counting arm
     _, rho_ac = swap_stage(defaults)
     gamma2 = defaults.gamma0 * math.exp(-defaults.t2_us / defaults.tau0_us)
-    extra2 = detector_extra(defaults, defaults.t2_us, defaults.z_ac)
+    extra2 = fock._storage(defaults, defaults.t2_us, defaults.z_ac)[1]
     fringe, count = _readout(rho_ac, gamma2, defaults.eta, extra2,
                              (0.0, 1.0, math.pi, 4.5))
     none = fock.JOINT_ORDER.index((False, False))
@@ -796,7 +795,7 @@ def _oracle_swap_stage(params, bell_sign=-1, n_max=2):
     state = apply_retrieval(state, "mem_b1", "read_b1", gamma1)
     state = apply_retrieval(state, "mem_b2", "read_b2", gamma1)
     state = apply_beam_splitter(state, "read_b1", "read_b2")
-    extra1 = detector_extra(params, params.t1_us, params.z_b)
+    extra1 = fock._storage(params, params.t1_us, params.z_b)[1]
     click, _ = measure_click(state, "read_b1", params.eta, p_extra=extra1)
     return click.probability, partial_trace(click.state, ("mem_a", "mem_c"))
 
@@ -844,7 +843,7 @@ def test_readout_joints_match_staged_oracle(boosted, chi):
     params = boosted if chi is None else with_overrides(boosted, chi=chi)
     _, rho_ac = swap_stage(params)
     gamma2 = params.gamma0 * math.exp(-params.t2_us / params.tau0_us)
-    extra2 = detector_extra(params, params.t2_us, params.z_ac)
+    extra2 = fock._storage(params, params.t2_us, params.z_ac)[1]
     thetas = _signed_thetas(17, 4)
     fringe, counting = _readout(rho_ac, gamma2, params.eta, extra2, thetas)
     for theta, got in zip(thetas, fringe):
@@ -936,9 +935,12 @@ def test_invariants_over_the_parameter_box(box_points, n_max):
     # hermiticity (4.5e-33) and negative-entry (3.8e-35) residues are
     # products of two roundings, below eps**2.  The engine runs in float64.
     # p10 = p01 is left out: the mixer's truncation breaks it by up to a few
-    # percent.
+    # percent.  The Wootters concurrence never rises with the swap readout
+    # delay t1 (13 points on [0, 300] us at each point's spacing): storage
+    # before the swap only loses excitations.
     grid = np.array(fock.default_theta_grid())
-    worst_locc = -math.inf
+    t1_scan = np.linspace(0.0, 300.0, 13)
+    worst_locc = worst_t1_rise = -math.inf
     for params in box_points:
         report = swap_pipeline(params, grid, n_max=n_max)
         mirror = swap_pipeline(params, -grid, n_max=n_max)
@@ -962,4 +964,11 @@ def test_invariants_over_the_parameter_box(box_points, n_max):
             p_c = report.counting_joint[1] + report.counting_joint[2]
             detected = p_c * (report.visibility_fringe - math.sqrt(report.h_detected))
             worst_locc = max(worst_locc, detected - report.concurrence_wootters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # z_b > z_ac, as in box_points
+            scan = [with_overrides(params, t1_us=t1, t2_us=t1 + params.delta_t_us)
+                    for t1 in t1_scan]
+        c_w = [swap_pipeline(p, (0.0,), n_max=n_max).concurrence_wootters for p in scan]
+        worst_t1_rise = max(worst_t1_rise, np.diff(c_w).max())
     assert worst_locc <= 0.0
+    assert worst_t1_rise <= 0.0

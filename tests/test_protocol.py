@@ -508,7 +508,7 @@ def test_sweep_series_contract(boosted):
         assert sig >= 0.0
 
 
-def test_sweep_validation(boosted):
+def test_sweep_validation(boosted, monkeypatch):
     with pytest.raises(ParamError):
         sweep(boosted, "t2", [8.0, 2.0], 100)  # unsorted
     with pytest.raises(ParamError):
@@ -517,6 +517,20 @@ def test_sweep_validation(boosted):
         sweep(boosted, "m", [1.5], 100)
     with pytest.raises(ParamError):
         sweep(boosted, "t2", [1.0], 100)  # below the fixed readout spacing
+    # no observable is concurrence; the theta axis takes fourfold, its only one
+    assert sweep(boosted, "t2", [8.0], 100).metadata["observable"] == "concurrence"
+    assert sweep(boosted, "theta", [0.0], 100,
+                 observable="fourfold").metadata["observable"] == "fourfold"
+
+    # an observable the sweep cannot report fails before the first batch
+    def no_batch(*args, **kwargs):
+        raise AssertionError("run_batch ran before the observable was checked")
+
+    monkeypatch.setattr(protocol, "run_batch", no_batch)
+    with pytest.raises(ParamError, match="'entropy'"):
+        sweep(boosted, "t2", [8.0], 100, observable="entropy")
+    with pytest.raises(ParamError, match=r"on the theta axis; choose from \('fourfold',\)"):
+        sweep(boosted, "theta", [0.0, 1.0], 100, observable="concurrence")
 
 
 def test_sweep_theta_reports_fourfold(boosted):
@@ -535,9 +549,11 @@ def test_engine_tables_periodic(boosted):
 
 def test_empty_theta_grid_rejected(boosted):
     # an empty grid has no fringe to tabulate: a ParamError naming the grid,
-    # not numpy's zero-size reduction error
+    # not numpy's zero-size reduction error, from the engine's one check
     with pytest.raises(ParamError, match="theta grid"):
         conditional_tables(boosted, ())
+    with pytest.raises(ParamError, match="theta grid"):
+        run_batch(boosted, 1000, theta_grid=())
 
 
 def test_m_axis_uses_multiplexing(boosted):
